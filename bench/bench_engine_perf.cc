@@ -427,9 +427,10 @@ void BM_FindViolationCanonical(benchmark::State& state) {
 }
 BENCHMARK(BM_FindViolationCanonical)->Unit(benchmark::kMillisecond);
 
-// The ladder re-evaluates the identical I space 3 * max_i times; the cached
-// variant shares one canonical result cache across all cells, so each
-// isomorphism class of unions is evaluated once for the whole table.
+// The whole ladder, all 3 * max_i cells decided by one sweep over the I
+// space (monotonicity::FindViolations). BM_LadderFull walks every I and J;
+// BM_LadderCached, named for the canonical result cache its cells once
+// shared, runs the symmetry-reduced sweep.
 void BM_LadderFull(benchmark::State& state) {
   auto qtc = queries::MakeComplementTransitiveClosure();
   monotonicity::ExhaustiveOptions o;

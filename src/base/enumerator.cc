@@ -37,15 +37,14 @@ namespace {
 
 bool SubsetsRec(const std::vector<Fact>& facts, size_t start, size_t remaining,
                 Instance& current,
-                const std::function<bool(const Instance&)>& fn) {
+                const std::function<SubsetStep(const Instance&)>& fn) {
   if (remaining == 0 || start == facts.size()) return true;
   for (size_t i = start; i < facts.size(); ++i) {
     current.Insert(facts[i]);
-    if (!fn(current)) {
-      current.Erase(facts[i]);
-      return false;
-    }
-    if (!SubsetsRec(facts, i + 1, remaining - 1, current, fn)) {
+    const SubsetStep step = fn(current);
+    if (step == SubsetStep::kStop ||
+        (step == SubsetStep::kContinue &&
+         !SubsetsRec(facts, i + 1, remaining - 1, current, fn))) {
       current.Erase(facts[i]);
       return false;
     }
@@ -57,7 +56,7 @@ bool SubsetsRec(const std::vector<Fact>& facts, size_t start, size_t remaining,
 }  // namespace
 
 bool ForEachFactSubset(const std::vector<Fact>& facts, size_t max_facts,
-                       const std::function<bool(const Instance&)>& fn) {
+                       const std::function<SubsetStep(const Instance&)>& fn) {
   Instance current;
   return SubsetsRec(facts, 0, max_facts, current, fn);
 }
@@ -68,7 +67,9 @@ bool ForEachInstance(const Schema& schema, const std::vector<Value>& domain,
   Instance empty;
   if (!fn(empty)) return false;
   std::vector<Fact> facts = AllFactsOver(schema, domain);
-  return ForEachFactSubset(facts, max_facts, fn);
+  return ForEachFactSubset(facts, max_facts, [&](const Instance& inst) {
+    return fn(inst) ? SubsetStep::kContinue : SubsetStep::kStop;
+  });
 }
 
 std::vector<Instance> AllFactSubsets(const std::vector<Fact>& facts,
@@ -76,7 +77,7 @@ std::vector<Instance> AllFactSubsets(const std::vector<Fact>& facts,
   std::vector<Instance> out;
   ForEachFactSubset(facts, max_facts, [&](const Instance& inst) {
     out.push_back(inst);
-    return true;
+    return SubsetStep::kContinue;
   });
   return out;
 }
@@ -278,7 +279,7 @@ bool CanonicalSubsetsRec(
     const std::vector<Fact>& facts, size_t start, size_t remaining,
     Instance& current, std::vector<uint32_t>& cur_idx,
     const std::vector<std::vector<uint32_t>>& index_perms,
-    const std::function<bool(const Instance&)>& fn) {
+    const std::function<SubsetStep(const Instance&)>& fn) {
   if (remaining == 0 || start == facts.size()) return true;
   std::vector<uint32_t> mapped;
   for (size_t i = start; i < facts.size(); ++i) {
@@ -296,9 +297,11 @@ bool CanonicalSubsetsRec(
       }
     }
     if (least) {
-      if (!fn(current) ||
-          !CanonicalSubsetsRec(facts, i + 1, remaining - 1, current, cur_idx,
-                               index_perms, fn)) {
+      const SubsetStep step = fn(current);
+      if (step == SubsetStep::kStop ||
+          (step == SubsetStep::kContinue &&
+           !CanonicalSubsetsRec(facts, i + 1, remaining - 1, current, cur_idx,
+                                index_perms, fn))) {
         cur_idx.pop_back();
         current.Erase(facts[i]);
         return false;
@@ -315,7 +318,7 @@ bool CanonicalSubsetsRec(
 bool ForEachCanonicalFactSubset(
     const std::vector<Fact>& facts, size_t max_facts,
     const std::vector<std::vector<uint32_t>>& index_perms,
-    const std::function<bool(const Instance&)>& fn) {
+    const std::function<SubsetStep(const Instance&)>& fn) {
   if (index_perms.empty()) return ForEachFactSubset(facts, max_facts, fn);
   Instance current;
   std::vector<uint32_t> cur_idx;

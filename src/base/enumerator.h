@@ -27,10 +27,19 @@ bool ForEachInstance(const Schema& schema, const std::vector<Value>& domain,
                      size_t max_facts,
                      const std::function<bool(const Instance&)>& fn);
 
+// What a subset visitor asks of the enumeration next.
+enum class SubsetStep {
+  kStop,           // end the enumeration
+  kSkipSupersets,  // do not extend the subset just visited
+  kContinue,
+};
+
 // Invokes `fn` for every nonempty subset of `facts` of size at most
-// `max_facts`. Stops early when fn returns false. Returns false iff stopped.
+// `max_facts`, depth first: ascending index lists in lexicographic order,
+// each list before its extensions. `fn` may prune the extensions of the
+// subset it was given or stop the enumeration. Returns false iff stopped.
 bool ForEachFactSubset(const std::vector<Fact>& facts, size_t max_facts,
-                       const std::function<bool(const Instance&)>& fn);
+                       const std::function<SubsetStep(const Instance&)>& fn);
 
 // Materialized instance streams: the same spaces as the ForEach* callbacks
 // above, but as indexed vectors in the identical deterministic order. The
@@ -95,7 +104,7 @@ std::vector<std::vector<uint32_t>> FactIndexPermutations(
 bool ForEachCanonicalFactSubset(
     const std::vector<Fact>& facts, size_t max_facts,
     const std::vector<std::vector<uint32_t>>& index_perms,
-    const std::function<bool(const Instance&)>& fn);
+    const std::function<SubsetStep(const Instance&)>& fn);
 
 }  // namespace calm
 

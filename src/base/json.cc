@@ -256,8 +256,16 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      // Containers recurse; bounding their nesting bounds the stack.
+      if (depth_ >= Json::kMaxDepth) {
+        return Error("nesting deeper than " + std::to_string(Json::kMaxDepth));
+      }
+      ++depth_;
+      Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       CALM_ASSIGN_OR_RETURN(std::string s, ParseString());
       return Json::Str(std::move(s));
@@ -394,6 +402,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace

@@ -75,6 +75,9 @@ class Json {
   std::string Dump(int indent = 2) const;
 
   // Strict parse of a complete document (trailing whitespace allowed).
+  // Total: any input yields a Json or InvalidArgument, including arrays and
+  // objects nested deeper than kMaxDepth.
+  static constexpr size_t kMaxDepth = 256;
   static Result<Json> Parse(std::string_view text);
 
  private:

@@ -108,8 +108,8 @@ std::vector<Fact> CandidateJFacts(const Schema& schema, const Instance& i,
   return out;
 }
 
-// The first stopping event (error or counterexample) a shard saw for one
-// candidate I, in that I's J enumeration order.
+// The first stopping event (error or counterexample) of one sweep target at
+// one candidate I, in that target's J enumeration order.
 struct InstanceOutcome {
   Status error;  // ok() when `cex` carries the event
   std::optional<Counterexample> cex;
@@ -205,13 +205,14 @@ uint64_t SubsetCountBound(uint64_t n, uint64_t max_facts, uint64_t cap) {
 
 std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
                                               MonotonicityClass cls,
+                                              size_t max_facts_j,
                                               const ExhaustiveOptions& options,
                                               const std::vector<Value>& domain,
                                               const std::vector<Value>& fresh) {
   constexpr uint64_t kMaxPlanPairs = 1u << 17;
   std::string key = schema.ToString();
   for (size_t v : {options.domain_size, options.fresh_values,
-                   options.max_facts_i, options.max_facts_j,
+                   options.max_facts_i, max_facts_j,
                    static_cast<size_t>(cls)}) {
     key += '|';
     key += std::to_string(v);
@@ -236,15 +237,14 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
     entry.i = std::move(i);
     std::vector<Fact> candidates =
         CandidateJFacts(schema, entry.i, fresh, cls);
-    pairs += SubsetCountBound(candidates.size(), options.max_facts_j,
-                              kMaxPlanPairs);
+    pairs += SubsetCountBound(candidates.size(), max_facts_j, kMaxPlanPairs);
     if (pairs >= kMaxPlanPairs) return nullptr;  // too big to materialize
     ForEachCanonicalFactSubset(
-        candidates, options.max_facts_j,
+        candidates, max_facts_j,
         FactIndexPermutations(candidates, StabilizerValueMaps(entry.i, fresh)),
         [&](const Instance& j) {
           entry.js.push_back(j);
-          return true;
+          return SubsetStep::kContinue;
         });
     plan->entries.push_back(std::move(entry));
   }
@@ -253,23 +253,78 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   return cache->emplace(key, std::move(plan)).first->second;
 }
 
+// Which targets' candidate lists (CandidateJFacts) a J from the M stream
+// draws on, relative to adom(I): every fact carrying a value outside adom(I)
+// makes it domain distinct, every fact made only of such values domain
+// disjoint (never without fresh values: AllFactsOver yields no facts over
+// no values). Supersets keep neither property J lacks.
+struct JKind {
+  bool distinct = true;
+  bool disjoint = true;
+};
+
+JKind KindOf(const Instance& j, const std::set<Value>& adom_i,
+             bool have_fresh) {
+  JKind kind{true, have_fresh};
+  j.ForEachFact([&](uint32_t, const Tuple& t) {
+    size_t new_values = 0;
+    for (Value v : t) new_values += adom_i.count(v) == 0 ? 1 : 0;
+    kind.distinct = kind.distinct && new_values > 0;
+    kind.disjoint = kind.disjoint && new_values == t.size();
+  });
+  return kind;
+}
+
+bool KindFits(MonotonicityClass cls, JKind kind) {
+  switch (cls) {
+    case MonotonicityClass::kMonotone:
+      return true;
+    case MonotonicityClass::kDomainDistinct:
+      return kind.distinct;
+    case MonotonicityClass::kDomainDisjoint:
+      return kind.disjoint;
+  }
+  return false;
+}
+
 }  // namespace
 
-Result<std::optional<Counterexample>> FindViolation(
-    const Query& query, MonotonicityClass cls,
-    const ExhaustiveOptions& options) {
+Result<std::vector<std::optional<Counterexample>>> FindViolations(
+    const Query& query, const std::vector<SweepTarget>& targets,
+    const ExhaustiveOptions& options, uint64_t* pairs) {
+  const size_t n = targets.size();
+  if (n != 1 && !options.checkpoint_dir.empty()) {
+    return InvalidArgumentError(
+        "checkpoint_dir is only supported for a single-target sweep");
+  }
+  if (n == 0) return std::vector<std::optional<Counterexample>>();
   const Schema& schema = query.input_schema();
   std::vector<Value> domain = IntDomain(options.domain_size);
   std::vector<Value> fresh = IntDomain(options.fresh_values, 1000);
 
+  // The one J stream every target is a subsequence of: the shared class if
+  // all targets have one (M otherwise — nullary facts make the disjoint
+  // candidates no subset of the distinct ones), at the largest bound.
+  // Subset DFS order and the lex-least orbit filter are both intrinsic to J
+  // (a finer candidate list embeds order-preservingly into a coarser one,
+  // and the stabilizer maps preserve every class), so each target sees its
+  // own J sequence in its own order and stops where it alone would.
+  bool mixed_classes = false;
+  size_t stream_max_j = 0;
+  for (const SweepTarget& t : targets) {
+    mixed_classes = mixed_classes || t.cls != targets[0].cls;
+    stream_max_j = std::max(stream_max_j, t.max_facts_j);
+  }
+  const MonotonicityClass stream_cls =
+      mixed_classes ? MonotonicityClass::kMonotone : targets[0].cls;
+
   // Materialize the candidate-I space (small by construction: the paper's
   // separations live at <= 6 values) and partition its indices across the
-  // pool. Each index records its first stopping event in a private slot;
-  // the winner is the event at the least index, which is exactly what the
-  // single-threaded nested loop returns — so verdicts and counterexamples
-  // are deterministic and thread-count-independent. `first_stop` is a
-  // monotonically decreasing cursor used only to prune work at indices that
-  // can no longer win.
+  // pool. Each target keeps its first stopping event at the least index,
+  // which is exactly what the single-threaded nested loop returns — so
+  // verdicts and counterexamples are deterministic and
+  // thread-count-independent. `first_stop[t]` is a monotonically decreasing
+  // cursor used only to prune work at indices that can no longer win.
   // With the symmetry reduction active, the I stream keeps only the
   // enumeration-least member of each isomorphism orbit; because violation
   // existence is orbit-invariant for a generic query, the first violating
@@ -281,54 +336,70 @@ Result<std::optional<Counterexample>> FindViolation(
                                 options.max_facts_i);
   QueryResultCache* cache = reduce ? options.cache : nullptr;
   std::shared_ptr<const SweepPlan> plan =
-      reduce ? GetSweepPlan(schema, cls, options, domain, fresh) : nullptr;
+      reduce ? GetSweepPlan(schema, stream_cls, stream_max_j, options, domain,
+                            fresh)
+             : nullptr;
   std::vector<Instance> is =
       plan != nullptr ? std::vector<Instance>()
       : reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
                : AllInstances(schema, domain, options.max_facts_i);
   const size_t space = plan != nullptr ? plan->entries.size() : is.size();
-  std::vector<InstanceOutcome> slots(space);
-  std::atomic<size_t> first_stop{space};
+  std::vector<std::atomic<size_t>> first_stop(n);
+  for (std::atomic<size_t>& f : first_stop) f.store(space);
+  // The stop at each cursor; cursors only move under `winners_mu`, together
+  // with their stop (stops are rare).
+  std::mutex winners_mu;
+  std::vector<InstanceOutcome> winners(n);
+  auto record_winner = [&](size_t t, size_t idx, InstanceOutcome outcome) {
+    std::lock_guard<std::mutex> lock(winners_mu);
+    if (idx >= first_stop[t].load(std::memory_order_relaxed)) return;
+    winners[t] = std::move(outcome);
+    first_stop[t].store(idx, std::memory_order_relaxed);
+  };
 
-  // Durable sweep journal (sweep_checkpoint.h). The file identity encodes
-  // the query, kind, class, and every bound, and its Begin record pins
-  // `space`, so replayed progress always belongs to this exact sweep.
+  // Durable sweep journal (sweep_checkpoint.h), single-target only. The file
+  // identity encodes the query, kind, class, and every bound, and its Begin
+  // record pins `space`, so replayed progress always belongs to this exact
+  // sweep.
   std::unique_ptr<SweepCheckpoint> ckpt;
   if (!options.checkpoint_dir.empty()) {
     CALM_ASSIGN_OR_RETURN(
         ckpt, SweepCheckpoint::Open(
                   options.checkpoint_dir,
-                  SweepFileId(query.name(), "fv", MonotonicityClassName(cls),
+                  SweepFileId(query.name(), "fv",
+                              MonotonicityClassName(stream_cls),
                               options.domain_size, options.fresh_values,
-                              options.max_facts_i, options.max_facts_j),
+                              options.max_facts_i, stream_max_j),
                   space));
     if (ckpt->complete()) {
       // A prior run finished this sweep: its recorded winner is the verdict.
       const uint64_t winner = ckpt->winner();
-      if (winner >= space) return std::optional<Counterexample>();
+      if (winner >= space) {
+        return std::vector<std::optional<Counterexample>>(1);
+      }
       const SweepStop* stop = ckpt->StopAt(winner);
       if (stop == nullptr) {
         return InternalError("sweep checkpoint: complete without a stop at " +
                              std::to_string(winner));
       }
       if (!stop->has_witness) return stop->error;
-      return std::optional<Counterexample>(
-          Counterexample{stop->i, stop->j, stop->fact});
+      std::vector<std::optional<Counterexample>> out(1);
+      out[0] = Counterexample{stop->i, stop->j, stop->fact};
+      return out;
     }
-    // Seed this run with the recorded stops: they occupy their slots and the
-    // least recorded stop prunes everything behind it, exactly as if this
-    // run had found them itself.
-    for (const auto& [idx, stop] : ckpt->stops()) {
-      if (idx >= space) continue;
-      if (stop.has_witness) {
-        slots[idx].cex = Counterexample{stop.i, stop.j, stop.fact};
-      } else {
-        slots[idx].error = stop.error;
-      }
-    }
+    // Seed this run with the least recorded stop: it prunes everything
+    // behind it, exactly as if this run had found it itself.
     if (!ckpt->stops().empty()) {
-      first_stop.store(ckpt->stops().begin()->first,
-                       std::memory_order_relaxed);
+      const auto& [idx, stop] = *ckpt->stops().begin();
+      if (idx < space) {
+        InstanceOutcome seeded;
+        if (stop.has_witness) {
+          seeded.cex = Counterexample{stop.i, stop.j, stop.fact};
+        } else {
+          seeded.error = stop.error;
+        }
+        record_winner(0, idx, std::move(seeded));
+      }
     }
   }
   std::atomic<bool> cancelled{false};
@@ -342,27 +413,28 @@ Result<std::optional<Counterexample>> FindViolation(
   };
 
   TraceSpan span("checker.find_violation");
-  span.Arg("class", static_cast<int64_t>(cls));
+  span.Arg("class", static_cast<int64_t>(stream_cls));
+  span.Arg("targets", static_cast<int64_t>(n));
   span.Arg("instances", static_cast<int64_t>(space));
   span.Arg("reduced", reduce ? 1 : 0);
   const bool metrics_on = MetricsEnabled();
   const QueryResultCache::Stats cache_before =
       cache != nullptr ? cache->stats() : QueryResultCache::Stats{};
-  // Pair totals feed the span and the progress counters; they are only
-  // tallied when somebody is listening (the per-pair add is a sharded
-  // relaxed atomic, the per-I flush below is the normal path).
-  const bool observing = metrics_on || span.active();
+  // Pair totals feed the span, the caller and the progress counters; they
+  // are only tallied when somebody is listening (the per-pair add is a
+  // sharded relaxed atomic, the per-I flush below is the normal path).
+  const bool observing = metrics_on || span.active() || pairs != nullptr;
   std::atomic<uint64_t> pairs_total{0};
   Counter* instances_done = nullptr;
   Counter* pairs_done = nullptr;
   Counter* skipped_done = nullptr;
   if (metrics_on) {
     MetricRegistry& registry = MetricRegistry::Global();
-    instances_done =
-        &registry.GetCounter("calm.checker.instances_examined",
-                             {{"class", MonotonicityClassName(cls)}});
-    pairs_done = &registry.GetCounter("calm.checker.pairs_checked",
-                                      {{"class", MonotonicityClassName(cls)}});
+    const char* label = MonotonicityClassName(stream_cls);
+    instances_done = &registry.GetCounter("calm.checker.instances_examined",
+                                          {{"class", label}});
+    pairs_done =
+        &registry.GetCounter("calm.checker.pairs_checked", {{"class", label}});
     if (ckpt != nullptr) {
       skipped_done = &registry.GetCounter("calm.durable.sweep_skipped");
     }
@@ -371,74 +443,99 @@ Result<std::optional<Counterexample>> FindViolation(
   ParallelFor(space, options.threads, [&](size_t idx) {
     if (cancel_requested()) return;
     if (ckpt != nullptr && ckpt->IsRecorded(idx)) {
-      // A prior run durably finished this candidate; its outcome (if a stop)
-      // was seeded into `slots` above.
+      // A prior run durably finished this candidate; its outcome (if the
+      // least stop) was seeded above.
       if (skipped_done != nullptr) skipped_done->Increment();
       return;
     }
-    if (first_stop.load(std::memory_order_relaxed) < idx) return;
-    InstanceOutcome& slot = slots[idx];
+    // The targets this I can still decide: a stop at a lower index wins.
+    std::vector<size_t> open;
+    for (size_t t = 0; t < n; ++t) {
+      if (first_stop[t].load(std::memory_order_relaxed) >= idx) {
+        open.push_back(t);
+      }
+    }
+    if (open.empty()) return;
+    std::vector<std::pair<size_t, InstanceOutcome>> stops;
     uint64_t pairs_here = 0;
     // A candidate pruned mid-enumeration (a lower index already stopped, or
     // a cancel arrived) was NOT fully examined, so it must not be journaled
     // as Done — the Done record means "every J was checked".
     bool pruned = false;
-    if (plan != nullptr) {
-      // Plan path: walk the precomputed J stream through one PairChecker —
-      // base evaluation stays lazy (an I with no pairs is never evaluated)
-      // and the union evaluator's per-I state amortizes across the whole
-      // stream; checks, order, and stop points match the streaming path
-      // exactly.
-      const SweepPlanEntry& entry = plan->entries[idx];
-      PairChecker checker(query, entry.i, cache);
-      for (const Instance& j : entry.js) {
-        if (first_stop.load(std::memory_order_relaxed) < idx ||
-            cancel_requested()) {
+    const Instance& i = plan != nullptr ? plan->entries[idx].i : is[idx];
+    const std::set<Value> adom_i =
+        mixed_classes ? i.ActiveDomain() : std::set<Value>();
+    // One checker per outer I: Q(i) is computed lazily once (an I with no
+    // pairs is never evaluated) and reused, with the union evaluator's
+    // per-I state, across the whole J stream. Each J is checked at most
+    // once, and its outcome lands in every open target that contains it.
+    PairChecker checker(query, i, cache);
+    auto visit = [&](const Instance& j) {
+      if (cancel_requested()) {
+        pruned = true;
+        return SubsetStep::kStop;
+      }
+      // Targets a lower index decided leave the list, and each target that
+      // J fits is noted: whether it contains J, and whether it has room for
+      // J's supersets. Every stream J fits the stream class; only mixed
+      // targets need J's own kind.
+      const JKind kind =
+          mixed_classes ? KindOf(j, adom_i, !fresh.empty()) : JKind{};
+      const size_t size = j.size();
+      bool check = false;
+      bool extend = false;
+      for (size_t k = 0; k < open.size();) {
+        const SweepTarget& target = targets[open[k]];
+        if (first_stop[open[k]].load(std::memory_order_relaxed) < idx) {
+          open[k] = open.back();  // the order of `open` is immaterial
+          open.pop_back();
           pruned = true;
-          break;
+          continue;
         }
-        ++pairs_here;
-        Result<std::optional<Counterexample>> r = checker.Check(j);
-        if (!r.ok()) {
-          slot.error = r.status();
-          break;
+        if (KindFits(target.cls, kind)) {
+          check = check || size <= target.max_facts_j;
+          extend = extend || size < target.max_facts_j;
         }
-        if (r->has_value()) {
-          slot.cex = std::move(r.value());
-          break;
+        ++k;
+      }
+      if (open.empty()) return SubsetStep::kStop;
+      const SubsetStep next =
+          extend ? SubsetStep::kContinue : SubsetStep::kSkipSupersets;
+      if (!check) return next;
+      ++pairs_here;
+      Result<std::optional<Counterexample>> r = checker.Check(j);
+      if (r.ok() && !r->has_value()) return next;
+      std::erase_if(open, [&](size_t t) {
+        if (size > targets[t].max_facts_j || !KindFits(targets[t].cls, kind)) {
+          return false;
         }
+        InstanceOutcome outcome;
+        if (r.ok()) {
+          outcome.cex = **r;
+        } else {
+          outcome.error = r.status();
+        }
+        stops.emplace_back(t, std::move(outcome));
+        return true;
+      });
+      return open.empty() ? SubsetStep::kStop : next;
+    };
+    if (plan != nullptr) {
+      // Plan path: walk the precomputed J stream (a flat list, so nothing to
+      // prune); checks, order, and stop points match the streaming path.
+      for (const Instance& j : plan->entries[idx].js) {
+        if (visit(j) == SubsetStep::kStop) break;
       }
     } else {
-      const Instance& i = is[idx];
-      std::vector<Fact> candidates = CandidateJFacts(schema, i, fresh, cls);
-      // One checker per outer I: Q(i) is computed once and reused across the
-      // whole J enumeration below.
-      PairChecker checker(query, i, cache);
-      auto visit = [&](const Instance& j) {
-        if (first_stop.load(std::memory_order_relaxed) < idx ||
-            cancel_requested()) {
-          pruned = true;
-          return false;
-        }
-        ++pairs_here;
-        Result<std::optional<Counterexample>> r = checker.Check(j);
-        if (!r.ok()) {
-          slot.error = r.status();
-          return false;
-        }
-        if (r->has_value()) {
-          slot.cex = std::move(r.value());
-          return false;
-        }
-        return true;
-      };
+      std::vector<Fact> candidates =
+          CandidateJFacts(schema, i, fresh, stream_cls);
       if (reduce) {
         ForEachCanonicalFactSubset(
-            candidates, options.max_facts_j,
+            candidates, stream_max_j,
             FactIndexPermutations(candidates, StabilizerValueMaps(i, fresh)),
             visit);
       } else {
-        ForEachFactSubset(candidates, options.max_facts_j, visit);
+        ForEachFactSubset(candidates, stream_max_j, visit);
       }
     }
     if (observing) {
@@ -448,31 +545,29 @@ Result<std::optional<Counterexample>> FindViolation(
         pairs_done->Increment(pairs_here);
       }
     }
-    if (!slot.error.ok() || slot.cex.has_value()) {
-      if (ckpt != nullptr) {
+    if (ckpt != nullptr) {
+      if (!stops.empty()) {
         // Durable before visible: the stop is journaled before it can prune
         // (and thus silence) higher indices in this run.
+        const InstanceOutcome& outcome = stops.front().second;
         SweepStop stop;
-        if (slot.cex.has_value()) {
+        if (outcome.cex.has_value()) {
           stop.has_witness = true;
-          stop.i = slot.cex->i;
-          stop.j = slot.cex->j;
-          stop.fact = slot.cex->retracted;
+          stop.i = outcome.cex->i;
+          stop.j = outcome.cex->j;
+          stop.fact = outcome.cex->retracted;
         } else {
-          stop.error = slot.error;
+          stop.error = outcome.error;
         }
         ckpt->RecordStop(idx, stop);
+      } else if (!pruned) {
+        ckpt->RecordDone(idx);
       }
-      size_t cur = first_stop.load(std::memory_order_relaxed);
-      while (idx < cur &&
-             !first_stop.compare_exchange_weak(cur, idx,
-                                               std::memory_order_relaxed)) {
-      }
-    } else if (ckpt != nullptr && !pruned) {
-      ckpt->RecordDone(idx);
     }
+    for (auto& [t, outcome] : stops) record_winner(t, idx, std::move(outcome));
   });
 
+  if (pairs != nullptr) *pairs = pairs_total.load(std::memory_order_relaxed);
   if (span.active()) {
     span.Arg("pairs", static_cast<int64_t>(
                           pairs_total.load(std::memory_order_relaxed)));
@@ -493,21 +588,31 @@ Result<std::optional<Counterexample>> FindViolation(
     return DeadlineExceededError("sweep cancelled");
   }
 
-  size_t winner = first_stop.load(std::memory_order_relaxed);
   if (ckpt != nullptr) {
     // The sweep ran to the end: certify the checkpoint (the winner is final)
     // — but only if every append landed; a WAL with a missing Done record
     // must not claim completeness.
     CALM_RETURN_IF_ERROR(ckpt->io_status());
-    ckpt->RecordComplete(winner);
+    ckpt->RecordComplete(first_stop[0].load(std::memory_order_relaxed));
     CALM_RETURN_IF_ERROR(ckpt->io_status());
   }
-  if (winner < space) {
-    InstanceOutcome& slot = slots[winner];
-    if (!slot.error.ok()) return slot.error;
-    return std::move(slot.cex);
+  // The first target (in target order) whose first stop is an error fails
+  // the whole call, as a loop of single-target calls would.
+  std::vector<std::optional<Counterexample>> out(n);
+  for (size_t t = 0; t < n; ++t) {
+    if (!winners[t].error.ok()) return winners[t].error;
+    out[t] = std::move(winners[t].cex);
   }
-  return std::optional<Counterexample>();
+  return out;
+}
+
+Result<std::optional<Counterexample>> FindViolation(
+    const Query& query, MonotonicityClass cls,
+    const ExhaustiveOptions& options) {
+  CALM_ASSIGN_OR_RETURN(
+      std::vector<std::optional<Counterexample>> found,
+      FindViolations(query, {SweepTarget{cls, options.max_facts_j}}, options));
+  return std::move(found[0]);
 }
 
 Result<std::optional<Counterexample>> FindViolationRandom(

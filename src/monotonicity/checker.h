@@ -65,17 +65,18 @@ struct ExhaustiveOptions {
   // enumeration-order-least orbit member, verdicts AND counterexamples are
   // byte-identical to the full sweep for generic queries.
   SymmetryMode symmetry = SymmetryMode::kAuto;
-  // Optional shared canonical result cache (base/result_cache.h), consulted
-  // only while the symmetry reduction is active (its correctness rests on
-  // the same genericity assumption). ComputeLadder wires one cache across
-  // its 3 * max_i cells; standalone FindViolation calls run uncached unless
-  // the caller provides one. Not owned.
+  // Optional canonical result cache (base/result_cache.h) for the base Q(I)
+  // evaluations, consulted only while the symmetry reduction is active (its
+  // correctness rests on the same genericity assumption). A sweep visits
+  // each canonical I once, so a cache only pays when the caller shares it
+  // across several sweeps of the same query. Not owned.
   QueryResultCache* cache = nullptr;
-  // When non-empty, the sweep journals per-candidate progress into
-  // <checkpoint_dir>/<sweep id>.wal (monotonicity/sweep_checkpoint.h) and a
-  // rerun with the same query, class, and bounds resumes: recorded indices
-  // are skipped and the verdict, witness, and stop point are identical to an
-  // uninterrupted run. The directory is created if missing.
+  // When non-empty, a single-target sweep journals per-candidate progress
+  // into <checkpoint_dir>/<sweep id>.wal (monotonicity/sweep_checkpoint.h)
+  // and a rerun with the same query, class, and bounds resumes: recorded
+  // indices are skipped and the verdict, witness, and stop point are
+  // identical to an uninterrupted run. The directory is created if missing.
+  // Multi-target sweeps (FindViolations, ComputeLadder) reject it.
   std::string checkpoint_dir;
   // Optional cooperative cancellation (the benches' SIGINT handler sets it).
   // When the flag becomes true the sweep stops starting new candidates and
@@ -91,6 +92,31 @@ struct ExhaustiveOptions {
 Result<std::optional<Counterexample>> FindViolation(
     const Query& query, MonotonicityClass cls,
     const ExhaustiveOptions& options = {});
+
+// One bounded search of a multi-target sweep: the class and J-size bound of
+// a single FindViolation call.
+struct SweepTarget {
+  MonotonicityClass cls = MonotonicityClass::kMonotone;
+  size_t max_facts_j = 0;
+};
+
+// Decides several bounded searches over the same I space in one pass
+// (options.max_facts_j is ignored; each target carries its own bound). The
+// J spaces nest — a domain-disjoint J is domain distinct, which is an
+// arbitrary J, and |J| <= k implies |J| <= k+1 — so each I enumerates only
+// the coarsest class's J stream at the largest bound (not extending a J no
+// open target has a superset of), checks each J at most once, and writes
+// the outcome into every still-open target that contains it. Entry t of the result is byte-identical to FindViolation with
+// targets[t]'s class and bound: each target's J sequence is an
+// order-preserving subsequence of the shared stream, and each target keeps
+// its own stop point. When some target's first stop is an evaluation error,
+// the error of the first such target (in target order) is returned. A
+// multi-target sweep has no journal: a non-empty checkpoint_dir is
+// InvalidArgument unless there is exactly one target. `pairs`, when
+// non-null, receives the number of (I, J) pairs checked.
+Result<std::vector<std::optional<Counterexample>>> FindViolations(
+    const Query& query, const std::vector<SweepTarget>& targets,
+    const ExhaustiveOptions& options, uint64_t* pairs = nullptr);
 
 struct RandomOptions {
   size_t trials = 100;
@@ -116,9 +142,8 @@ Result<std::optional<Counterexample>> FindViolationRandom(
 // candidate I; `i` must outlive the checker.
 class PairChecker {
  public:
-  // When `cache` is non-null, the base Q(i) evaluation goes through it —
-  // isomorphic outer instances anywhere in the sweep (e.g. the 3 * max_i
-  // ladder cells re-sweeping the same I space) then share one evaluation.
+  // When `cache` is non-null, the base Q(i) evaluation goes through it, so
+  // isomorphic outer instances met by several sweeps share one evaluation.
   // The per-pair Q(i u j) checks always run directly through the union
   // evaluator: unions rarely repeat within a search, so canonicalizing each
   // one costs more than it saves. Callers must only pass a cache under the

@@ -34,8 +34,9 @@ struct Ladder {
   std::string ToString() const;
 };
 
-// Computes the ladder for i = 1..max_i. `base` supplies the instance space
-// (its max_facts_j is overridden per row by i).
+// Computes the ladder for i = 1..max_i in one multi-target sweep
+// (FindViolations). `base` supplies the instance space (its max_facts_j is
+// overridden per row by i); a non-empty checkpoint_dir is InvalidArgument.
 Result<Ladder> ComputeLadder(const Query& query, size_t max_i,
                              ExhaustiveOptions base = {});
 

@@ -300,6 +300,26 @@ TEST(EnumeratorTest, StopsEarly) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(EnumeratorTest, SkipSupersetsPrunesOnlyThatSubtree) {
+  // Over {S(0), S(1), S(2)}: skipping the supersets of {S(0)} leaves the
+  // other subsets in their depth-first order.
+  std::vector<Fact> facts = AllFactsOver(Schema({{"S", 1}}), IntDomain(3));
+  std::vector<std::string> seen;
+  bool finished = ForEachFactSubset(facts, 3, [&](const Instance& j) {
+    seen.push_back(j.ToString());
+    return j.size() == 1 && j.Contains(facts[0]) ? SubsetStep::kSkipSupersets
+                                                 : SubsetStep::kContinue;
+  });
+  EXPECT_TRUE(finished);
+  std::vector<std::string> want;
+  for (const Instance& j :
+       {Instance{facts[0]}, Instance{facts[1]}, Instance{facts[1], facts[2]},
+        Instance{facts[2]}}) {
+    want.push_back(j.ToString());
+  }
+  EXPECT_EQ(seen, want);
+}
+
 TEST(QueryTest, NativeQueryAndGenericity) {
   Schema graph({{"E", 2}});
   // The identity query on E.

@@ -180,6 +180,29 @@ TEST_F(TraceTest, ChromeTraceFileRoundTripsThroughJson) {
   EXPECT_EQ(DeterministicPart(*parsed), DeterministicPart(Trace::ExportJson()));
 }
 
+// Trace files are outside bytes: the parser must answer every input with a
+// Status, on a bounded stack, however deep the nesting.
+TEST(JsonParseTest, DeepNestingIsInvalidArgumentNotACrash) {
+  const size_t kDeep = 100000;
+  std::string arrays(kDeep, '[');
+  std::string objects;
+  for (size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  for (const std::string* text : {&arrays, &objects}) {
+    Result<Json> parsed = Json::Parse(*text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // The limit itself: kMaxDepth nested containers parse, one more does not.
+  auto nested = [](size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(Json::Parse(nested(Json::kMaxDepth)).ok());
+  Result<Json> too_deep = Json::Parse(nested(Json::kMaxDepth + 1));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(TraceTest, DisabledBuildExportsEmptyDocument) {
   if (TracingCompiledIn()) GTEST_SKIP() << "covered by the enabled tests";
   Trace::SetEnabled(true);  // must be a no-op
