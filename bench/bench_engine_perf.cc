@@ -47,29 +47,15 @@ const datalog::Program& TcProgram() {
 void BM_TransitiveClosureSemiNaive(benchmark::State& state) {
   Instance input =
       workload::RandomGraphM(state.range(0), 3 * state.range(0), /*seed=*/7);
-  datalog::EvalOptions opts;
-  opts.semi_naive = true;
   size_t derived = 0;
   for (auto _ : state) {
-    Result<Instance> out = datalog::Evaluate(TcProgram(), input, opts);
+    Result<Instance> out = datalog::Evaluate(TcProgram(), input);
     benchmark::DoNotOptimize(out);
     derived = out.ok() ? out->size() : 0;
   }
   state.counters["facts"] = static_cast<double>(derived);
 }
 BENCHMARK(BM_TransitiveClosureSemiNaive)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureNaive(benchmark::State& state) {
-  Instance input =
-      workload::RandomGraphM(state.range(0), 3 * state.range(0), /*seed=*/7);
-  datalog::EvalOptions opts;
-  opts.semi_naive = false;
-  for (auto _ : state) {
-    Result<Instance> out = datalog::Evaluate(TcProgram(), input, opts);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_TransitiveClosureNaive)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_StratifiedComplementTc(benchmark::State& state) {
   datalog::Program program = datalog::ParseOrDie(
@@ -191,7 +177,9 @@ void BM_RunToQuiescenceFaultInjected(benchmark::State& state) {
 BENCHMARK(BM_RunToQuiescenceFaultInjected)->Arg(2)->Arg(4);
 
 // A rule written in pessimal order: B(z), A(x) is a cartesian product
-// unless the compiler reorders to chain through the E atoms.
+// unless the compiler reorders to chain through the E atoms. Greedy
+// reordering is always on; this tracks the cost of the rule as written
+// (the reorder-off ablation measured 2.1x at n = 32, EXPERIMENTS.md).
 void BM_JoinOrderPessimalRule(benchmark::State& state) {
   datalog::Program program = datalog::ParseOrDie(
       "O(x, z) :- B(z), A(x), E(x, y), E(y, z). .output O");
@@ -201,18 +189,12 @@ void BM_JoinOrderPessimalRule(benchmark::State& state) {
     input.Insert(Fact("A", {Value::FromInt(v)}));
     input.Insert(Fact("B", {Value::FromInt(v + 1)}));
   }
-  datalog::EvalOptions opts;
-  opts.reorder_joins = state.range(1) != 0;
   for (auto _ : state) {
-    Result<Instance> out = datalog::Evaluate(program, input, opts);
+    Result<Instance> out = datalog::Evaluate(program, input);
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_JoinOrderPessimalRule)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({96, 0})
-    ->Args({96, 1});
+BENCHMARK(BM_JoinOrderPessimalRule)->Arg(32)->Arg(96);
 
 // Prepared-pipeline ablation. DatalogQuery::Create runs the whole frontend
 // (analysis, stratification, join ordering, compilation) exactly once; Eval
@@ -614,9 +596,7 @@ int CrossCheckTrace() {
 
 // Same idea for the incremental union path: one overlay evaluation through a
 // fresh union evaluator must record exactly one datalog.eval.delta span (and
-// bump calm.eval.incremental.overlays by one, with no fallback) when the
-// mode is on, and exactly zero when --incremental=off routed the check to
-// the overlay evaluator instead.
+// bump calm.eval.incremental.overlays by one, with no fallback).
 int CrossCheckIncrementalTrace() {
   if (!calm::TracingEnabled()) return 0;
   datalog::DatalogQuery q = datalog::DatalogQuery::FromTextOrDie(
@@ -659,33 +639,29 @@ int CrossCheckIncrementalTrace() {
     return 1;
   }
 
-  const bool incremental_on =
-      datalog::DefaultIncrementalMode() == datalog::IncrementalMode::kOn;
-  const size_t expected = incremental_on ? 1 : 0;
   const size_t deltas =
       calm::Trace::SpanCount("datalog.eval.delta") - deltas_before;
-  if (deltas != expected) {
+  if (deltas != 1) {
     std::fprintf(stderr,
                  "incremental cross-check failed: %zu datalog.eval.delta "
-                 "spans for one overlay evaluation (expected %zu)\n",
-                 deltas, expected);
+                 "spans for one overlay evaluation (expected 1)\n",
+                 deltas);
     return 1;
   }
   if (metrics_on) {
     const uint64_t new_overlays = overlays->Value() - overlays_before;
     const uint64_t new_fallbacks = fallbacks->Value() - fallbacks_before;
-    if (new_overlays != expected || new_fallbacks != 0) {
+    if (new_overlays != 1 || new_fallbacks != 0) {
       std::fprintf(stderr,
                    "incremental cross-check failed: overlays +%llu / "
                    "fallbacks +%llu for one overlay evaluation (expected "
-                   "+%zu / +0)\n",
+                   "+1 / +0)\n",
                    static_cast<unsigned long long>(new_overlays),
-                   static_cast<unsigned long long>(new_fallbacks), expected);
+                   static_cast<unsigned long long>(new_fallbacks));
       return 1;
     }
   }
-  std::printf("incremental cross-check ok: %zu delta span(s), no fallback\n",
-              deltas);
+  std::printf("incremental cross-check ok: 1 delta span, no fallback\n");
   return 0;
 }
 

@@ -29,14 +29,6 @@ namespace calm::bench {
 //   --trace_out P     enable span tracing for the run and write a Chrome
 //                     trace_event file to P on exit (load in chrome://tracing
 //                     or ui.perfetto.dev; tools/trace_view.py summarizes it)
-//   --engine NAME     rule evaluator: "bytecode" (default) or "tree" (the
-//                     differential oracle); also settable via CALM_ENGINE,
-//                     the flag wins (SetDefaultEvalEngine)
-//   --incremental M   union evaluation in the checkers: "on" (default — reuse
-//                     the materialized Q(I) fixpoint, run each J as an
-//                     insertion delta) or "off" (from-scratch ablation); also
-//                     settable via CALM_INCREMENTAL, the flag wins
-//                     (SetDefaultIncrementalMode)
 //   --eval_threads N  worker threads for morsel-parallel stratum evaluation
 //                     inside a single bytecode fixpoint (default 1 = serial;
 //                     results are byte-identical at any count); also settable
@@ -59,8 +51,6 @@ struct Flags {
   size_t domain_bump = 0;
   std::string metrics_out;  // empty = metrics registry stays disabled
   std::string trace_out;    // empty = tracing stays disabled
-  std::string engine;       // empty = CALM_ENGINE / bytecode default
-  std::string incremental;  // empty = CALM_INCREMENTAL / on default
   size_t eval_threads = 0;  // 0 = CALM_EVAL_THREADS / serial default
   std::string checkpoint_dir;  // empty = sweeps run without a journal
 };
@@ -93,10 +83,6 @@ inline std::vector<FlagSpec> FlagSpecs(Flags* flags) {
        &flags->metrics_out, nullptr, false},
       {"--trace_out", "PATH", "enable tracing, write Chrome trace on exit",
        &flags->trace_out, nullptr, false},
-      {"--engine", "NAME", "rule evaluator: bytecode (default) or tree",
-       &flags->engine, nullptr, false},
-      {"--incremental", "MODE", "union evaluation: on (default) or off",
-       &flags->incremental, nullptr, false},
       {"--checkpoint_dir", "DIR",
        "journal sweep progress into DIR; a rerun resumes",
        &flags->checkpoint_dir, nullptr, false},
@@ -225,25 +211,6 @@ inline Flags ParseFlags(int* argc, char** argv,
     *hit->num = static_cast<size_t>(n);
   }
   *argc = out;
-  if (!flags.engine.empty()) {
-    Result<datalog::EvalEngine> engine = datalog::ParseEvalEngine(flags.engine);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "--engine expects tree or bytecode, got %s\n",
-                   flags.engine.c_str());
-      std::exit(2);
-    }
-    datalog::SetDefaultEvalEngine(*engine);
-  }
-  if (!flags.incremental.empty()) {
-    Result<datalog::IncrementalMode> mode =
-        datalog::ParseIncrementalMode(flags.incremental);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "--incremental expects on or off, got %s\n",
-                   flags.incremental.c_str());
-      std::exit(2);
-    }
-    datalog::SetDefaultIncrementalMode(*mode);
-  }
   if (flags.threads != 0) SetDefaultThreads(flags.threads);
   if (flags.eval_threads != 0) {
     datalog::SetDefaultEvalThreads(static_cast<int>(flags.eval_threads));

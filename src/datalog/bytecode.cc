@@ -78,8 +78,8 @@ RuleBytecode CompileRuleBytecode(const CompiledRule& rule,
   }
 
   // Static binding analysis: a slot is bound at atom k iff an earlier atom
-  // (or an earlier position of atom k) bound it — exactly the state the
-  // tree matcher rediscovers per candidate tuple at run time.
+  // (or an earlier position of atom k) bound it, so every op knows its probe
+  // mask, loads and residual checks before execution.
   std::vector<bool> bound(rule.slot_count, false);
   for (size_t a = 0; a < rule.pos.size(); ++a) {
     const CompiledAtom& atom = rule.pos[a];
@@ -197,8 +197,7 @@ BytecodeExecutor::BytecodeExecutor(
 
 void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
                                const RelStore* store, uint32_t row,
-                               const uint32_t* parent, size_t stride,
-                               bool emit_ok) {
+                               const uint32_t* parent, size_t stride) {
   uint32_t* child = scratch_->child.data();
   std::copy(parent, parent + stride, child);
   for (const auto& [col, slot] : op.loads) {
@@ -215,10 +214,6 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
                                     : ccodes[iq.right.const_id];
     if (l == r) return;
   }
-  // The join ran (probe/hit counters ticked); a failing constant-only
-  // inequality only suppresses the leaf, exactly as the tree matcher's
-  // per-leaf Finish does.
-  if (!emit_ok) return;
   const ValueDict& dict = db_->dict();
   if (!rule.negs.empty()) {
     // Code-space anti-probes (the common case, per the plan BuildNegPlan
@@ -382,7 +377,7 @@ bool BytecodeExecutor::BuildScanPrefilter(const JoinOp& op,
 
 bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
                                           size_t delta_index, uint32_t delta_lo,
-                                          uint32_t delta_hi, bool emit_ok) {
+                                          uint32_t delta_hi) {
   const JoinOp& op0 = rule.ops[0];
   const JoinOp& op1 = rule.ops[1];
   const uint32_t* ccodes = const_codes_.data();
@@ -536,7 +531,7 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
     for (uint32_t b = 0; b < bn; ++b) {
       hitp[b] = &s1->ProbePrepared(index, kptr + b * kstride);
     }
-    counters_->probes += bn;  // tree parity: one probe per (frame = op0 row)
+    counters_->probes += bn;  // one probe per frame (= op0 row)
     for (uint32_t b = 0; b < bn; ++b) {
       const std::vector<uint32_t>& hits = *hitp[b];
       const uint32_t* hb = hits.data();
@@ -545,8 +540,7 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
       if (d1) hb = std::lower_bound(hb, he, delta_lo);
       const size_t cnt = static_cast<size_t>(he - hb);
       counters_->probe_hits += cnt;
-      // A failed constant inequality counts the joins but emits nothing.
-      if (!emit_ok || cnt == 0) continue;
+      if (cnt == 0) continue;
       counters_->applications += cnt;
       ensure(cnt);
       const uint32_t row = bs + b;
@@ -583,14 +577,10 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
                             uint32_t delta_lo, uint32_t delta_hi) {
   const size_t stride = rule.slot_count;
   const uint32_t* ccodes = const_codes_.data();
-  // Constant-only inequalities (ready_after == 0): frame-independent, but a
-  // failure must not skip the joins — the tree matcher still walks them
-  // (counting probes) and rejects each leaf in Finish.
-  bool emit_ok = true;
+  // Constant-only inequalities (ready_after == 0) are frame-independent: a
+  // failing one rules out every valuation, so no join runs at all.
   for (const IneqCheck& iq : rule.const_ineqs) {
-    if (ccodes[iq.left.const_id] == ccodes[iq.right.const_id]) {
-      emit_ok = false;
-    }
+    if (ccodes[iq.left.const_id] == ccodes[iq.right.const_id]) return;
   }
   if (scratch_->child.size() < stride) scratch_->child.resize(stride);
   const size_t head_arity = rule.head.size() + (rule.head_invents ? 1 : 0);
@@ -608,13 +598,13 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
   if (nops == 0) {
     // Bodyless rule: a single empty match.
     static const JoinOp kNoOp;
-    EmitRow(rule, kNoOp, nullptr, 0, cur.data(), stride, emit_ok);
+    EmitRow(rule, kNoOp, nullptr, 0, cur.data(), stride);
     return;
   }
   if (nops == 2 && rule.fused && rule.ops[0].mask == 0 &&
       rule.ops[0].checks.empty() && rule.ops[0].ineqs.empty() &&
       rule.ops[1].mask != 0 &&
-      EvalScanProbeFused(rule, delta_index, delta_lo, delta_hi, emit_ok)) {
+      EvalScanProbeFused(rule, delta_index, delta_lo, delta_hi)) {
     return;
   }
 
@@ -627,8 +617,8 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
     bool grows = false;
     const uint32_t end = Horizon(op.relation, *store, &grows);
     // A growing store with nothing visible this round is, for this Eval,
-    // the same as a missing store (the tree engine has no such rows at
-    // all) — bail before any probe is counted.
+    // the same as a missing store: no valuation can match, so bail before
+    // any probe is counted.
     if (grows && end == 0) return;
     size_t survivors = 0;
     if (!last) next.clear();
@@ -645,7 +635,6 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
     // EmitRow (residual checks, inequalities, negation, invention).
     auto emit_one = [&](uint32_t row, const uint32_t* parent) {
       if (fused) {
-        if (!emit_ok) return;  // constant inequality failed: count, emit not
         uint32_t* head = scratch_->head.data();
         for (uint32_t i = 0; i < nhead; ++i) {
           const RuleBytecode::FusedSrc& s = plan[i];
@@ -666,7 +655,7 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
           ++counters_->rejected;
         }
       } else {
-        EmitRow(rule, op, store, row, parent, stride, emit_ok);
+        EmitRow(rule, op, store, row, parent, stride);
       }
     };
     // A scan's row-local predicates (in-atom repeated-variable checks,
@@ -714,7 +703,7 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
         const KeySrc& k = op.key[i];
         codes[i] = k.slot >= 0 ? parent[k.slot] : ccodes[k.const_id];
       }
-      ++counters_->probes;  // tree parity: one probe per frame
+      ++counters_->probes;  // one probe per frame
       const std::vector<uint32_t>& hits = store->ProbePrepared(*index, codes);
       // Hit rows are ascending, so both the visibility horizon and the
       // delta restriction are contiguous slices.

@@ -14,10 +14,10 @@
 
 namespace calm::datalog {
 
-// Skolem-term hash-consing shared by both engines (Section 5.2): identical
-// derivations reuse one invented value, and numbering follows
-// first-derivation order — so two engines that enumerate derivations in the
-// same order invent byte-identical values.
+// Skolem-term hash-consing (Section 5.2): identical derivations reuse one
+// invented value, and numbering follows first-derivation order — so a run
+// that enumerates derivations in the same order (any eval_threads count, a
+// repeated evaluation) invents byte-identical values.
 class InventionTable {
  public:
   Value GetOrCreate(uint32_t relation, const Tuple& args) {
@@ -40,11 +40,13 @@ class InventionTable {
 // projections, inequality filters, and negation anti-probes are attached to
 // the op at which they become evaluable. Execution is batch-at-a-time: a
 // level of frames (slot vectors) is expanded through each op over the
-// columnar store, so the inner loops are flat array walks instead of the
-// tree matcher's recursion. Expanding frames in order and appending matches
-// in row order makes the breadth-first leaf order equal the tree matcher's
-// depth-first enumeration — the derivation streams are identical, which the
-// differential harness (tests/engine_diff_test.cc) pins.
+// columnar store, so the inner loops are flat array walks. Expanding frames
+// in order and appending matches in row order makes the breadth-first leaf
+// order equal a depth-first nested-loop enumeration in the compiled join
+// order. That fixed derivation order is what makes ILOG's invented-value
+// numbering, EvalStats and morsel-parallel merges deterministic; the
+// derived facts themselves are checked against an independent reference
+// evaluator (tests/engine_diff_test.cc).
 //
 // Frames hold dictionary codes, not Values: the owning Database's shared
 // ValueDict makes code equality coincide with value equality, so joins,
@@ -121,16 +123,16 @@ struct BytecodeProgram {
 };
 
 // Compiles the slot-form rules (datalog/compiled.h) to bytecode. Pure
-// translation: join order, binding structure, and check placement are
-// exactly the tree matcher's, just decided once instead of per tuple.
+// translation: the join order is the compiled one, and binding structure and
+// check placement are decided once instead of per tuple.
 // `pool` accumulates the rule's constants (deduplicated).
 RuleBytecode CompileRuleBytecode(const CompiledRule& rule,
                                  std::vector<Value>* pool);
 BytecodeProgram CompileBytecode(const std::vector<CompiledRule>& rules);
 
-// Observability tallies with tree-matcher parity: one probe per frame on an
-// indexed atom, hits = rows the probe returned (delta-filtered when the
-// atom is the semi-naive site), plus the round's insert/dedup outcomes
+// Observability tallies: one probe per frame on an indexed atom, hits = rows
+// the probe returned (delta-filtered when the atom is the semi-naive site),
+// plus the round's insert/dedup outcomes
 // (derivations insert as they are emitted; see the visibility note below).
 struct ExecCounters {
   uint64_t probes = 0;
@@ -181,10 +183,11 @@ class BytecodeExecutor {
                    ExecCounters* counters, BytecodeScratch* scratch);
 
   // Evaluates one rule, inserting head derivations into the database in
-  // tree-matcher order. When `delta_index` names a positive atom, that atom
-  // ranges over rows [delta_lo, delta_hi) of its relation's store instead
-  // of the full store (row-range semi-naive: the delta is a contiguous
-  // row slice of the main store, so no second delta store is maintained).
+  // nested-loop order over the compiled join order. When `delta_index`
+  // names a positive atom, that atom ranges over rows [delta_lo, delta_hi)
+  // of its relation's store instead of the full store (row-range
+  // semi-naive: the delta is a contiguous row slice of the main store, so
+  // no second delta store is maintained).
   void Eval(const RuleBytecode& rule, size_t delta_index, uint32_t delta_lo,
             uint32_t delta_hi);
 
@@ -217,7 +220,7 @@ class BytecodeExecutor {
   // `store` is null only for bodyless rules (op has no loads/checks).
   void EmitRow(const RuleBytecode& rule, const JoinOp& op,
                const RelStore* store, uint32_t row, const uint32_t* parent,
-               size_t stride, bool emit_ok);
+               size_t stride);
 
   // Whole-rule fast path for the dominant shape (e.g. transitive closure):
   // a fused two-op rule whose first op is an unfiltered scan and whose
@@ -226,7 +229,7 @@ class BytecodeExecutor {
   // done nothing) when the shape doesn't map cleanly; the caller then runs
   // the general batch loop.
   bool EvalScanProbeFused(const RuleBytecode& rule, size_t delta_index,
-                          uint32_t delta_lo, uint32_t delta_hi, bool emit_ok);
+                          uint32_t delta_lo, uint32_t delta_hi);
 
   // Vectorized scan prefilter: folds the op's in-atom repeated-variable
   // checks and row-local inequalities (both sides constant or bound by this

@@ -6,10 +6,10 @@
 
 namespace calm::datalog {
 
-CompiledRule RuleCompiler::Compile(const Rule& rule, bool reorder_joins) {
+CompiledRule RuleCompiler::Compile(const Rule& rule) {
   slots_.clear();
   CompiledRule out;
-  std::vector<const Atom*> ordered = OrderAtoms(rule, reorder_joins);
+  std::vector<const Atom*> ordered = OrderAtoms(rule);
   out.pos.reserve(ordered.size());
   for (const Atom* a : ordered) out.pos.push_back(CompileAtom(*a));
   out.head = CompileAtom(rule.head);
@@ -49,14 +49,9 @@ CompiledRule RuleCompiler::Compile(const Rule& rule, bool reorder_joins) {
   return out;
 }
 
-std::vector<const Atom*> RuleCompiler::OrderAtoms(const Rule& rule,
-                                                  bool reorder_joins) {
+std::vector<const Atom*> RuleCompiler::OrderAtoms(const Rule& rule) {
   std::vector<const Atom*> out;
   out.reserve(rule.pos.size());
-  if (!reorder_joins) {
-    for (const Atom& a : rule.pos) out.push_back(&a);
-    return out;
-  }
   std::vector<const Atom*> remaining;
   for (const Atom& a : rule.pos) remaining.push_back(&a);
   std::set<uint32_t> bound;

@@ -41,15 +41,16 @@ struct CompiledRule {
 
 class RuleCompiler {
  public:
-  // Compiles one rule. When `reorder_joins` is set, positive body atoms are
-  // greedily reordered: repeatedly pick the remaining atom with the most
-  // bound argument positions (constants or variables already bound by the
-  // chosen prefix); ties broken by fewer new variables, then written order.
-  CompiledRule Compile(const Rule& rule, bool reorder_joins);
+  // Compiles one rule. Positive body atoms are greedily reordered:
+  // repeatedly pick the remaining atom with the most bound argument
+  // positions (constants or variables already bound by the chosen prefix);
+  // ties broken by fewer new variables, then written order. This avoids
+  // accidental cartesian products in carelessly written rules (2.1x on
+  // BM_JoinOrderPessimalRule, EXPERIMENTS.md); results do not depend on it.
+  CompiledRule Compile(const Rule& rule);
 
  private:
-  static std::vector<const Atom*> OrderAtoms(const Rule& rule,
-                                             bool reorder_joins);
+  static std::vector<const Atom*> OrderAtoms(const Rule& rule);
   int SlotOf(uint32_t var);
   CompiledAtom CompileAtom(const Atom& atom);
 

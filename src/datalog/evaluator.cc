@@ -14,33 +14,6 @@ namespace calm::datalog {
 
 namespace {
 
-EvalEngine EnvEngine() {
-  const char* env = std::getenv("CALM_ENGINE");
-  if (env != nullptr && std::string_view(env) == "tree") {
-    return EvalEngine::kTree;
-  }
-  return EvalEngine::kBytecode;
-}
-
-std::atomic<EvalEngine>& GlobalEngine() {
-  static std::atomic<EvalEngine> engine{EnvEngine()};
-  return engine;
-}
-
-IncrementalMode EnvIncremental() {
-  const char* env = std::getenv("CALM_INCREMENTAL");
-  if (env != nullptr &&
-      (std::string_view(env) == "off" || std::string_view(env) == "0")) {
-    return IncrementalMode::kOff;
-  }
-  return IncrementalMode::kOn;
-}
-
-std::atomic<IncrementalMode>& GlobalIncremental() {
-  static std::atomic<IncrementalMode> mode{EnvIncremental()};
-  return mode;
-}
-
 int EnvEvalThreads() {
   const char* env = std::getenv("CALM_EVAL_THREADS");
   if (env != nullptr) {
@@ -56,40 +29,6 @@ std::atomic<int>& GlobalEvalThreads() {
 }
 
 }  // namespace
-
-EvalEngine DefaultEvalEngine() {
-  return GlobalEngine().load(std::memory_order_relaxed);
-}
-
-void SetDefaultEvalEngine(EvalEngine engine) {
-  GlobalEngine().store(
-      engine == EvalEngine::kDefault ? EnvEngine() : engine,
-      std::memory_order_relaxed);
-}
-
-Result<EvalEngine> ParseEvalEngine(std::string_view name) {
-  if (name == "tree") return EvalEngine::kTree;
-  if (name == "bytecode") return EvalEngine::kBytecode;
-  return InvalidArgumentError("unknown engine (want tree|bytecode): " +
-                              std::string(name));
-}
-
-IncrementalMode DefaultIncrementalMode() {
-  return GlobalIncremental().load(std::memory_order_relaxed);
-}
-
-void SetDefaultIncrementalMode(IncrementalMode mode) {
-  GlobalIncremental().store(
-      mode == IncrementalMode::kDefault ? EnvIncremental() : mode,
-      std::memory_order_relaxed);
-}
-
-Result<IncrementalMode> ParseIncrementalMode(std::string_view name) {
-  if (name == "on") return IncrementalMode::kOn;
-  if (name == "off") return IncrementalMode::kOff;
-  return InvalidArgumentError("unknown incremental mode (want on|off): " +
-                              std::string(name));
-}
 
 int DefaultEvalThreads() {
   return GlobalEvalThreads().load(std::memory_order_relaxed);

@@ -1,9 +1,6 @@
 #include "datalog/prepared.h"
 
 #include <algorithm>
-#include <cassert>
-#include <climits>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -16,9 +13,7 @@ namespace calm::datalog {
 
 namespace {
 
-constexpr uint32_t kNoSlot = UINT32_MAX;
-
-// Per-fixpoint observability tallies. The matcher and the insert loops
+// Per-fixpoint observability tallies. The executor and the insert loops
 // accumulate into these plain locals unconditionally (an add next to a hash
 // probe is noise); whether anything observable happens with them is decided
 // once, at the end of the fixpoint. This keeps the disabled-observability
@@ -37,54 +32,6 @@ inline bool SchemaAdmits(const Schema& schema, uint32_t name, const Tuple& t) {
   return arity != 0 && t.size() == arity;
 }
 
-// Skolem hash-consing (Section 5.2) lives in datalog/bytecode.h
-// (InventionTable) so both engines share one implementation; one table per
-// evaluation, so identical derivations reuse the same value.
-
-// Per-round delta stores. Entries persist across Reset (clear keeps the
-// store allocations warm); emptiness is tracked by the total tuple count.
-class DeltaSet {
- public:
-  bool Insert(uint32_t rel, const Tuple& t) {
-    RelStore* store = Find(rel);
-    if (store == nullptr) {
-      rels_.emplace_back(rel, RelStore());
-      store = &rels_.back().second;
-    }
-    if (store->Insert(t)) {
-      ++total_;
-      return true;
-    }
-    return false;
-  }
-
-  RelStore* Find(uint32_t rel) {
-    for (auto& [r, store] : rels_) {
-      if (r == rel) return &store;
-    }
-    return nullptr;
-  }
-
-  bool any() const { return total_ > 0; }
-
-  void Reset() {
-    for (auto& [r, store] : rels_) store.clear();
-    total_ = 0;
-  }
-
- private:
-  std::vector<std::pair<uint32_t, RelStore>> rels_;
-  size_t total_ = 0;
-};
-
-// Per-thread evaluation scratch: the working database and the semi-naive
-// delta sets live across calls (cleared, capacity kept), so a checker loop
-// evaluating one prepared program millions of times allocates almost
-// nothing after warm-up. Results are materialized into an Instance before
-// returning, so reuse is invisible to callers; sharing one scratch between
-// different programs on a thread is harmless (stores are empty between
-// runs). The stratified Eval paths run on this scratch; the well-founded
-// alternation manages its own seed copies (see RunFixedNegation).
 // One morsel worker's private state: frame scratch, counters, and the
 // deferred head emissions (one code column per head position). Lanes only
 // read the shared database during the concurrent section; everything they
@@ -95,11 +42,17 @@ struct MorselLane {
   std::vector<std::vector<uint32_t>> sink;
 };
 
+// Per-thread evaluation scratch: the working database, the executor's frame
+// buffers and the row-range deltas live across calls (cleared, capacity
+// kept), so a checker loop evaluating one prepared program millions of times
+// allocates almost nothing after warm-up. Results are materialized into an
+// Instance before returning, so reuse is invisible to callers; sharing one
+// scratch between different programs on a thread is harmless (stores are
+// empty between runs). The stratified Eval paths run on this scratch; the
+// well-founded alternation manages its own seed copies (see
+// RunFixedNegation).
 struct EvalScratch {
   Database db;
-  DeltaSet delta;
-  DeltaSet next_delta;
-  std::vector<std::pair<uint32_t, Tuple>> derived;
   BytecodeScratch bytecode;
   std::vector<std::pair<uint32_t, uint32_t>> ranges;  // row-range deltas
   // Morsel-parallel lane pool (unique_ptr: stable addresses while the lane
@@ -112,155 +65,10 @@ EvalScratch& LocalScratch() {
   return scratch;
 }
 
-class RuleMatcher {
- public:
-  // `negation_db`: database against which negated atoms are tested (the main
-  // db under stratified semantics; a fixed reference under the Gamma
-  // operator of the well-founded semantics).
-  RuleMatcher(Database* db, const Database* negation_db, EvalStats* stats,
-              InventionTable* invention, FixpointCounters* counters)
-      : db_(db), negation_db_(negation_db), stats_(stats),
-        invention_(invention), counters_(counters) {}
-
-  // Evaluates `rule`, deriving head facts into `out`. When `delta` is
-  // non-null, exactly the atom at `delta_index` ranges over `delta` instead
-  // of the full store (semi-naive evaluation).
-  void Eval(const CompiledRule& rule, RelStore* delta, size_t delta_index,
-            std::vector<std::pair<uint32_t, Tuple>>* out) {
-    rule_ = &rule;
-    delta_ = delta;
-    delta_index_ = delta_index;
-    out_ = out;
-    binding_.assign(rule.slot_count, Value());
-    bound_.assign(rule.slot_count, false);
-    if (nb_stack_.size() < rule.pos.size()) nb_stack_.resize(rule.pos.size());
-    Match(0);
-  }
-
- private:
-  void Match(size_t atom_index) {
-    if (atom_index == rule_->pos.size()) {
-      Finish();
-      return;
-    }
-    const CompiledAtom& atom = rule_->pos[atom_index];
-    RelStore* source = (delta_ != nullptr && atom_index == delta_index_)
-                           ? delta_
-                           : db_->Store(atom.relation);
-    if (source == nullptr || source->size() == 0) return;
-
-    // Determine bound positions under the current binding.
-    uint32_t mask = 0;
-    Tuple key;
-    for (size_t i = 0; i < atom.slots.size(); ++i) {
-      int s = atom.slots[i];
-      if (s < 0) {
-        mask |= (1u << i);
-        key.push_back(atom.constants[i]);
-      } else if (bound_[s]) {
-        mask |= (1u << i);
-        key.push_back(binding_[s]);
-      }
-    }
-
-    // Per-depth scratch for the slots each candidate row newly binds
-    // (member storage: no per-row allocation).
-    std::vector<int>& newly_bound = nb_stack_[atom_index];
-    auto try_row = [&](uint32_t row) {
-      // Bind free positions; repeated variables within the atom must agree.
-      newly_bound.clear();
-      bool ok = true;
-      for (size_t i = 0; i < atom.slots.size() && ok; ++i) {
-        Value v = source->At(row, static_cast<uint32_t>(i));
-        int s = atom.slots[i];
-        if (s < 0) {
-          if (v != atom.constants[i]) ok = false;
-        } else if (bound_[s]) {
-          if (binding_[s] != v) ok = false;
-        } else {
-          binding_[s] = v;
-          bound_[s] = true;
-          newly_bound.push_back(s);
-        }
-      }
-      if (ok) ok = IneqsHold(atom_index + 1);
-      if (ok) Match(atom_index + 1);
-      for (int s : newly_bound) bound_[s] = false;
-    };
-
-    if (mask == 0) {
-      // Full scan over rows in insertion order.
-      size_t n = source->size();
-      for (uint32_t i = 0; i < n; ++i) try_row(i);
-    } else {
-      const std::vector<uint32_t>& hits = source->Probe(mask, key);
-      ++counters_->probes;
-      counters_->probe_hits += hits.size();
-      for (uint32_t i : hits) try_row(i);
-    }
-  }
-
-  bool IneqsHold(size_t after) const {
-    for (const CompiledIneq& iq : rule_->ineqs) {
-      if (iq.ready_after != after) continue;
-      Value l = iq.left_slot >= 0 ? binding_[iq.left_slot] : iq.left_const;
-      Value r = iq.right_slot >= 0 ? binding_[iq.right_slot] : iq.right_const;
-      if (l == r) return false;
-    }
-    return true;
-  }
-
-  void Finish() {
-    // Inequalities with no positive variables (ready_after == 0).
-    if (!IneqsHold(0)) return;
-    // Negated atoms: all variables are bound (safety).
-    for (const CompiledAtom& atom : rule_->neg) {
-      Tuple t = Instantiate(atom);
-      if (negation_db_->Contains(atom.relation, t)) return;
-    }
-    if (stats_ != nullptr) ++stats_->rule_applications;
-    Tuple head = Instantiate(rule_->head);
-    if (rule_->head.invents) {
-      assert(invention_ != nullptr);
-      Value skolem = invention_->GetOrCreate(rule_->head.relation, head);
-      head.prepend(skolem);
-    }
-    out_->emplace_back(rule_->head.relation, std::move(head));
-  }
-
-  Tuple Instantiate(const CompiledAtom& atom) const {
-    Tuple t;
-    t.reserve(atom.slots.size());
-    for (size_t i = 0; i < atom.slots.size(); ++i) {
-      int s = atom.slots[i];
-      t.push_back(s >= 0 ? binding_[s] : atom.constants[i]);
-    }
-    return t;
-  }
-
-  Database* db_;
-  const Database* negation_db_;
-  EvalStats* stats_;
-  InventionTable* invention_;
-  FixpointCounters* counters_;
-
-  const CompiledRule* rule_ = nullptr;
-  RelStore* delta_ = nullptr;
-  size_t delta_index_ = kNoSlot;
-  std::vector<std::pair<uint32_t, Tuple>>* out_ = nullptr;
-  Tuple binding_;
-  std::vector<bool> bound_;
-  std::vector<std::vector<int>> nb_stack_;  // per-depth newly-bound slots
-};
-
 size_t CountDerived(const Database& db, size_t input_size) {
   return db.size() - std::min(db.size(), input_size);
 }
 
-// Runs the fixpoint of one prepared stratum over `db`: `rules` indexes into
-// `compiled` and `delta_sites` lists its semi-naive (rule, atom) pairs.
-// `negation_db` is the database used for negated atoms (== db under
-// stratified semantics; the fixed reference under Gamma).
 // Flushes one fixpoint's tallies into the metrics registry. Out of line and
 // called at most once per fixpoint, so the registry lookups (the per-stratum
 // statics aside, the per-rule series are looked up by label each time) stay
@@ -294,133 +102,16 @@ void FlushFixpointMetrics(const std::vector<CompiledRule>& compiled,
   }
 }
 
-Status RunFixpoint(const std::vector<CompiledRule>& compiled,
-                   const std::vector<uint32_t>& rules,
-                   const std::vector<std::pair<uint32_t, uint32_t>>& delta_sites,
-                   size_t stratum_index, Database* db,
-                   const Database* negation_db, const EvalOptions& options,
-                   EvalStats* stats, InventionTable* invention) {
-  TraceSpan span("datalog.stratum");
-  span.Arg("stratum", static_cast<int64_t>(stratum_index));
-  FixpointCounters counters;
-  // Per-rule derivation counts, kept only when the registry will consume
-  // them (the extra branch per rule per round is the entire cost otherwise).
-  const bool metrics_on = MetricsEnabled();
-  std::vector<uint64_t> rule_derived;
-  if (metrics_on) rule_derived.assign(compiled.size(), 0);
-  size_t rounds = 0;
-
-  RuleMatcher matcher(db, negation_db, stats, invention, &counters);
-  EvalScratch& scratch = LocalScratch();
-  std::vector<std::pair<uint32_t, Tuple>>& derived = scratch.derived;
-  derived.clear();
-
-  // Round 0: evaluate every rule against the full database.
-  for (uint32_t r : rules) {
-    size_t before = derived.size();
-    matcher.Eval(compiled[r], nullptr, kNoSlot, &derived);
-    if (metrics_on) rule_derived[r] += derived.size() - before;
-  }
-
-  DeltaSet& delta = scratch.delta;
-  delta.Reset();
-  for (auto& [rel, tuple] : derived) {
-    if (db->Insert(rel, tuple)) {
-      delta.Insert(rel, tuple);
-      ++counters.inserts;
-    } else {
-      ++counters.dedup_rejected;
-    }
-  }
-  if (stats != nullptr) ++stats->fixpoint_rounds;
-  ++rounds;
-
-  auto finish = [&](Status status) {
-    if (span.active()) {
-      span.Arg("rounds", static_cast<int64_t>(rounds));
-      span.Arg("inserts", static_cast<int64_t>(counters.inserts));
-      span.Arg("probes", static_cast<int64_t>(counters.probes));
-      span.Arg("probe_hits", static_cast<int64_t>(counters.probe_hits));
-      span.Arg("dedup_rejected",
-               static_cast<int64_t>(counters.dedup_rejected));
-    }
-    if (metrics_on) {
-      FlushFixpointMetrics(compiled, counters, rounds, rule_derived);
-    }
-    return status;
-  };
-
-  if (!options.semi_naive) {
-    // Naive: re-run all rules on the full database until no change.
-    bool changed = delta.any();
-    while (changed) {
-      if (db->size() > options.max_total_facts) {
-        return finish(
-            ResourceExhaustedError("fixpoint exceeded max_total_facts"));
-      }
-      derived.clear();
-      for (uint32_t r : rules) {
-        size_t before = derived.size();
-        matcher.Eval(compiled[r], nullptr, kNoSlot, &derived);
-        if (metrics_on) rule_derived[r] += derived.size() - before;
-      }
-      changed = false;
-      for (auto& [rel, tuple] : derived) {
-        if (db->Insert(rel, tuple)) {
-          changed = true;
-          ++counters.inserts;
-        } else {
-          ++counters.dedup_rejected;
-        }
-      }
-      if (stats != nullptr) ++stats->fixpoint_rounds;
-      ++rounds;
-    }
-    return finish(Status::Ok());
-  }
-
-  // Semi-naive: in each round, for every precomputed (rule, growing-atom)
-  // site, evaluate with that atom restricted to the delta.
-  DeltaSet& next_delta = scratch.next_delta;
-  while (delta.any()) {
-    if (db->size() > options.max_total_facts) {
-      return finish(
-          ResourceExhaustedError("fixpoint exceeded max_total_facts"));
-    }
-    derived.clear();
-    for (const auto& [r, atom_index] : delta_sites) {
-      const CompiledRule& rule = compiled[r];
-      RelStore* d = delta.Find(rule.pos[atom_index].relation);
-      if (d == nullptr || d->size() == 0) continue;
-      size_t before = derived.size();
-      matcher.Eval(rule, d, atom_index, &derived);
-      if (metrics_on) rule_derived[r] += derived.size() - before;
-    }
-    next_delta.Reset();
-    for (auto& [rel, tuple] : derived) {
-      if (db->Insert(rel, tuple)) {
-        next_delta.Insert(rel, tuple);
-        ++counters.inserts;
-      } else {
-        ++counters.dedup_rejected;
-      }
-    }
-    std::swap(delta, next_delta);
-    if (stats != nullptr) ++stats->fixpoint_rounds;
-    ++rounds;
-  }
-  return finish(Status::Ok());
-}
-
-// The bytecode twin of RunFixpoint: identical round structure, identical
-// counter accounting, identical insert order — only the per-rule evaluation
-// (flat batch execution) and the delta representation differ. Instead of
-// copying each round's new tuples into side stores, the delta of a growing
-// relation is the contiguous row range its main store gained last round
-// (rows are append-only). Derivations insert into the database as they are
-// emitted; rounds stay isolated because the executor bounds every scan and
-// probe of a growing relation to its row count at the start of the round
-// (the visibility horizon, ranges[g].second).
+// Runs the semi-naive fixpoint of one prepared stratum over `db`: `rules`
+// indexes into `compiled`/`bytecode`, `delta_sites` lists the stratum's
+// (rule, growing-atom) pairs, and `negation_db` is the database negated
+// atoms are tested against (== db under stratified semantics; the fixed
+// reference under Gamma). The delta of a growing relation is the contiguous
+// row range its main store gained last round (rows are append-only).
+// Derivations insert into the database as they are emitted; rounds stay
+// isolated because the executor bounds every scan and probe of a growing
+// relation to its row count at the start of the round (the visibility
+// horizon, ranges[g].second).
 Status RunFixpointBytecode(
     const std::vector<CompiledRule>& compiled,
     const BytecodeProgram& bytecode, const std::vector<uint32_t>& rules,
@@ -469,8 +160,8 @@ Status RunFixpointBytecode(
     }
     return any;
   };
-  // Per-rule derivation tally = this Eval's insert attempts (new + dup),
-  // matching the tree matcher's emitted-tuple count.
+  // Per-rule derivation tally = this Eval's insert attempts (new + dup): the
+  // number of head tuples the rule emitted, duplicates included.
   auto attempts = [&] { return exec.inserted + exec.rejected; };
 
   // Round 0: evaluate every rule against the full database.
@@ -502,28 +193,6 @@ Status RunFixpointBytecode(
     }
     return status;
   };
-
-  if (!options.semi_naive) {
-    // Naive: re-run all rules on the full database until no change.
-    bool changed = any;
-    while (changed) {
-      if (db->size() > options.max_total_facts) {
-        return finish(
-            ResourceExhaustedError("fixpoint exceeded max_total_facts"));
-      }
-      uint64_t inserted_before = exec.inserted;
-      for (uint32_t r : rules) {
-        uint64_t before = attempts();
-        executor.Eval(bytecode.rules[r], BytecodeExecutor::kNoDelta, 0, 0);
-        if (metrics_on) rule_derived[r] += attempts() - before;
-      }
-      advance();
-      changed = exec.inserted > inserted_before;
-      if (stats != nullptr) ++stats->fixpoint_rounds;
-      ++rounds;
-    }
-    return finish(Status::Ok());
-  }
 
   // Semi-naive: per (rule, growing-atom) site, run with that atom
   // restricted to its relation's last-round row range.
@@ -823,7 +492,7 @@ void PreparedProgram::CompileRules(const Program& program) {
   RuleCompiler compiler;
   compiled_.reserve(program.rules.size());
   for (const Rule& r : program.rules) {
-    compiled_.push_back(compiler.Compile(r, options_.reorder_joins));
+    compiled_.push_back(compiler.Compile(r));
   }
   if (info_.uses_adom) {
     for (const RelationDecl& r : info_.edb.relations()) {
@@ -859,17 +528,10 @@ Result<PreparedProgram> PreparedProgram::Prepare(const Program& program,
   CALM_ASSIGN_OR_RETURN(p.info_, Analyze(program, allow_invention));
   CALM_ASSIGN_OR_RETURN(Stratification strat, Stratify(program, p.info_));
   p.options_ = options;
-  p.engine_ = options.engine == EvalEngine::kDefault ? DefaultEvalEngine()
-                                                     : options.engine;
-  p.incremental_ = options.incremental == IncrementalMode::kDefault
-                       ? DefaultIncrementalMode()
-                       : options.incremental;
   p.options_.eval_threads =
       options.eval_threads > 0 ? options.eval_threads : DefaultEvalThreads();
   p.CompileRules(program);
-  if (p.engine_ == EvalEngine::kBytecode) {
-    p.bytecode_ = CompileBytecode(p.compiled_);
-  }
+  p.bytecode_ = CompileBytecode(p.compiled_);
   for (uint32_t s = 0; s < strat.stratum_count; ++s) {
     if (strat.rules_per_stratum[s].empty()) continue;
     p.strata_.push_back(p.MakeStratum(program, strat.rules_per_stratum[s]));
@@ -882,18 +544,11 @@ Result<PreparedProgram> PreparedProgram::PrepareFixedNegation(
   PreparedProgram p;
   CALM_ASSIGN_OR_RETURN(p.info_, Analyze(program));
   p.options_ = options;
-  p.engine_ = options.engine == EvalEngine::kDefault ? DefaultEvalEngine()
-                                                     : options.engine;
-  p.incremental_ = options.incremental == IncrementalMode::kDefault
-                       ? DefaultIncrementalMode()
-                       : options.incremental;
   p.options_.eval_threads =
       options.eval_threads > 0 ? options.eval_threads : DefaultEvalThreads();
   p.fixed_negation_ = true;
   p.CompileRules(program);
-  if (p.engine_ == EvalEngine::kBytecode) {
-    p.bytecode_ = CompileBytecode(p.compiled_);
-  }
+  p.bytecode_ = CompileBytecode(p.compiled_);
   std::vector<size_t> all;
   all.reserve(program.rules.size());
   for (size_t i = 0; i < program.rules.size(); ++i) all.push_back(i);
@@ -963,14 +618,9 @@ Result<Instance> PreparedProgram::RunInPlace(Database* db, EvalStats* stats,
   InventionTable invention;
   for (size_t i = 0; i < strata_.size(); ++i) {
     const Stratum& s = strata_[i];
-    if (engine_ == EvalEngine::kBytecode) {
-      CALM_RETURN_IF_ERROR(RunFixpointBytecode(
-          compiled_, bytecode_, s.rules, s.delta_sites, s.growing, i, db, db,
-          options_, sink, &invention));
-    } else {
-      CALM_RETURN_IF_ERROR(RunFixpoint(compiled_, s.rules, s.delta_sites, i,
-                                       db, db, options_, sink, &invention));
-    }
+    CALM_RETURN_IF_ERROR(RunFixpointBytecode(compiled_, bytecode_, s.rules,
+                                             s.delta_sites, s.growing, i, db,
+                                             db, options_, sink, &invention));
   }
   if (sink != nullptr) sink->derived_facts = CountDerived(*db, input_size);
   if (invented_count != nullptr) *invented_count = invention.size();
@@ -1012,16 +662,10 @@ Result<Instance> PreparedProgram::RunFixedNegation(Database db,
   TraceSpan span("datalog.eval_fixed_negation");
   if (!strata_.empty()) {
     const Stratum& s = strata_[0];
-    if (engine_ == EvalEngine::kBytecode) {
-      CALM_RETURN_IF_ERROR(RunFixpointBytecode(compiled_, bytecode_, s.rules,
-                                               s.delta_sites, s.growing, 0,
-                                               &db, &neg_db, options_, stats,
-                                               nullptr));
-    } else {
-      CALM_RETURN_IF_ERROR(RunFixpoint(compiled_, s.rules, s.delta_sites, 0,
-                                       &db, &neg_db, options_, stats,
-                                       nullptr));
-    }
+    CALM_RETURN_IF_ERROR(RunFixpointBytecode(compiled_, bytecode_, s.rules,
+                                             s.delta_sites, s.growing, 0, &db,
+                                             &neg_db, options_, stats,
+                                             nullptr));
   }
   if (stats != nullptr) stats->derived_facts = CountDerived(db, input_size);
   return db.ToInstance();
@@ -1043,18 +687,17 @@ std::unique_ptr<IncrementalEval> PreparedProgram::BeginIncremental(
   if (pre_restrict != nullptr) ev->pre_ = *pre_restrict;
   if (post_restrict != nullptr) ev->post_ = *post_restrict;
 
-  // Gate: the delta machinery rides the bytecode engine's row-range
-  // visibility horizons and the semi-naive delta sites; the tree engine,
-  // naive iteration, the Gamma operator, and Skolem invention (whose value
-  // numbering depends on global derivation order) all take the from-scratch
-  // route instead. Nullary heads are excluded too: their single phantom row
-  // is a flag, not a row, so watermark truncation cannot restore it.
+  // Gate: the delta machinery rides the row-range visibility horizons and
+  // the semi-naive delta sites; the Gamma operator and Skolem invention
+  // (whose value numbering depends on global derivation order) take the
+  // from-scratch route instead. Nullary heads are excluded too: their single
+  // phantom row is a flag, not a row, so watermark truncation cannot
+  // restore it.
   bool unsupported_rule = false;
   for (const CompiledRule& r : compiled_) {
     unsupported_rule |= r.head.invents || r.head.slots.empty();
   }
-  ev->supported_ = !fixed_negation_ && engine_ == EvalEngine::kBytecode &&
-                   options_.semi_naive && !unsupported_rule;
+  ev->supported_ = !fixed_negation_ && !unsupported_rule;
   if (!ev->supported_) return ev;
 
   for (const Stratum& s : strata_) {

@@ -35,8 +35,7 @@ class PreparedProgram {
  public:
   // Analyzes, stratifies, and compiles `program` (errors exactly when
   // Evaluate/EvaluateIlog would: analysis first, then stratification).
-  // `options.reorder_joins` is baked into the compiled form; the remaining
-  // options govern every subsequent run.
+  // `options` govern every subsequent run.
   static Result<PreparedProgram> Prepare(const Program& program,
                                          const EvalOptions& options = {},
                                          bool allow_invention = false);
@@ -48,13 +47,6 @@ class PreparedProgram {
 
   const ProgramInfo& info() const { return info_; }
   const EvalOptions& options() const { return options_; }
-  // The engine this program was compiled for (options().engine resolved
-  // against DefaultEvalEngine() at Prepare time).
-  EvalEngine engine() const { return engine_; }
-  // Whether union re-evaluation may run incrementally (options().incremental
-  // resolved against DefaultIncrementalMode() at Prepare time). Never
-  // kDefault after Prepare.
-  IncrementalMode incremental() const { return incremental_; }
 
   // Stratified (or ILOG) evaluation; equals Evaluate()/EvaluateIlog() on
   // this program. Only valid on Prepare()-built instances.
@@ -102,10 +94,10 @@ class PreparedProgram {
   // small J without re-running from scratch (see IncrementalEval). The
   // schema arguments mirror EvalParts' restriction semantics and are copied;
   // this PreparedProgram must outlive the returned evaluator. Always
-  // succeeds: configurations the delta machinery cannot serve (tree engine,
-  // naive iteration, fixed negation, ILOG invention, or a failed base
-  // fixpoint) yield an evaluator whose every overlay transparently falls
-  // back to the from-scratch EvalParts path.
+  // succeeds: configurations the delta machinery cannot serve (fixed
+  // negation, ILOG invention, or a failed base fixpoint) yield an evaluator
+  // whose every overlay transparently falls back to the from-scratch
+  // EvalParts path.
   std::unique_ptr<IncrementalEval> BeginIncremental(
       const Instance& base, const Schema* pre_restrict = nullptr,
       const Schema* post_restrict = nullptr) const;
@@ -118,7 +110,7 @@ class PreparedProgram {
     std::vector<uint32_t> rules;  // indices into compiled_, stratum order
     // Semi-naive delta positions: (rule index into compiled_, pos-atom
     // index) for every atom over a relation that grows in this stratum, in
-    // rule-major order — the same evaluation order as the one-shot path.
+    // rule-major order.
     std::vector<std::pair<uint32_t, uint32_t>> delta_sites;
     // Head relations of this stratum (sorted, unique): the bytecode
     // driver's row-range deltas snapshot these stores' sizes per round.
@@ -138,11 +130,9 @@ class PreparedProgram {
 
   ProgramInfo info_;
   EvalOptions options_;
-  EvalEngine engine_ = EvalEngine::kBytecode;
-  IncrementalMode incremental_ = IncrementalMode::kOn;
   bool fixed_negation_ = false;
   std::vector<CompiledRule> compiled_;
-  BytecodeProgram bytecode_;  // compiled iff engine_ == kBytecode
+  BytecodeProgram bytecode_;
   std::vector<Stratum> strata_;
   Schema adom_source_;  // edb(P) minus Adom: where seeded Adom values come from
 };
@@ -166,7 +156,7 @@ class PreparedProgram {
 // configuration or runtime condition the delta path cannot reproduce
 // byte-identically (unsupported options, IDB facts in the overlay, a
 // mid-delta resource error) reroutes that overlay through the from-scratch
-// path. Pinned by tests/incremental_test.cc and the CI engine-diff leg.
+// path. Pinned by tests/incremental_test.cc.
 //
 // Not thread-safe; create one evaluator per thread (the parallel checker
 // sweeps create one per outer I, which lives on a single shard).

@@ -115,9 +115,8 @@ Result<Instance> DatalogQuery::EvalUnion(const Instance& a,
 std::unique_ptr<UnionEvaluator> DatalogQuery::MakeUnionEvaluator(
     const Instance& i) const {
   // The well-founded alternation has no single materialized fixpoint to
-  // continue from; it keeps the overlay route regardless of mode.
-  if (semantics_ == Semantics::kStratified &&
-      prepared_->incremental() == IncrementalMode::kOn) {
+  // continue from; it keeps the overlay route.
+  if (semantics_ == Semantics::kStratified) {
     return std::make_unique<IncrementalUnionEvaluator>(
         prepared_,
         prepared_->BeginIncremental(i, &input_schema_, &output_schema_));

@@ -44,11 +44,11 @@ class DatalogQuery : public Query {
   // materialized union (the checker inner loops call this per (I, J) pair).
   Result<Instance> EvalUnion(const Instance& a,
                              const Instance& b) const override;
-  // Under stratified semantics with incremental mode on, returns an
-  // evaluator that keeps the Q(i) fixpoint materialized and runs each j as
-  // an epoch-scoped insertion delta (prepared.h's IncrementalEval);
-  // otherwise the default overlay evaluator. Verdicts are byte-identical
-  // either way.
+  // Under stratified semantics, returns an evaluator that keeps the Q(i)
+  // fixpoint materialized and runs each j as an epoch-scoped insertion delta
+  // (prepared.h's IncrementalEval; configurations it cannot serve fall back
+  // to from-scratch evaluation inside it); otherwise the default overlay
+  // evaluator. Verdicts are byte-identical either way.
   std::unique_ptr<UnionEvaluator> MakeUnionEvaluator(
       const Instance& i) const override;
 

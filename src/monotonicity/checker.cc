@@ -12,7 +12,6 @@
 #include "base/canonical.h"
 #include "base/enumerator.h"
 #include "base/metrics.h"
-#include "base/result_cache.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
 #include "monotonicity/sweep_checkpoint.h"
@@ -37,16 +36,10 @@ std::string Counterexample::ToString() const {
          ", retracted output fact: " + FactToString(retracted);
 }
 
-Status PairChecker::EvalFactsMaybeCached(const Instance& input,
-                                         std::vector<Fact>* out) {
-  if (cache_) return cache_->EvalFacts(input, out);
-  return query_.EvalFacts(input, out);
-}
-
 Result<std::optional<Counterexample>> PairChecker::Check(const Instance& j) {
   if (!base_ready_) {
     base_ready_ = true;
-    base_status_ = EvalFactsMaybeCached(i_, &base_facts_);
+    base_status_ = query_.EvalFacts(i_, &base_facts_);
     if (base_status_.ok()) union_eval_ = query_.MakeUnionEvaluator(i_);
   }
   if (!base_status_.ok()) return base_status_;
@@ -330,11 +323,9 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   // existence is orbit-invariant for a generic query, the first violating
   // representative is the first violating instance of the full stream, so
   // the reported counterexample is byte-identical. The same argument filters
-  // each I's J-subset space under the stabilizer maps. The cache is only
-  // consulted under the same genericity gate.
+  // each I's J-subset space under the stabilizer maps.
   bool reduce = ResolveSymmetry(query, options.symmetry, options.domain_size,
                                 options.max_facts_i);
-  QueryResultCache* cache = reduce ? options.cache : nullptr;
   std::shared_ptr<const SweepPlan> plan =
       reduce ? GetSweepPlan(schema, stream_cls, stream_max_j, options, domain,
                             fresh)
@@ -418,8 +409,6 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   span.Arg("instances", static_cast<int64_t>(space));
   span.Arg("reduced", reduce ? 1 : 0);
   const bool metrics_on = MetricsEnabled();
-  const QueryResultCache::Stats cache_before =
-      cache != nullptr ? cache->stats() : QueryResultCache::Stats{};
   // Pair totals feed the span, the caller and the progress counters; they
   // are only tallied when somebody is listening (the per-pair add is a
   // sharded relaxed atomic, the per-I flush below is the normal path).
@@ -469,7 +458,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
     // pairs is never evaluated) and reused, with the union evaluator's
     // per-I state, across the whole J stream. Each J is checked at most
     // once, and its outcome lands in every open target that contains it.
-    PairChecker checker(query, i, cache);
+    PairChecker checker(query, i);
     auto visit = [&](const Instance& j) {
       if (cancel_requested()) {
         pruned = true;
@@ -571,14 +560,6 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   if (span.active()) {
     span.Arg("pairs", static_cast<int64_t>(
                           pairs_total.load(std::memory_order_relaxed)));
-  }
-  if (cache != nullptr && metrics_on) {
-    const QueryResultCache::Stats after = cache->stats();
-    MetricRegistry& registry = MetricRegistry::Global();
-    registry.GetCounter("calm.checker.cache_hits")
-        .Increment(after.hits - cache_before.hits);
-    registry.GetCounter("calm.checker.cache_misses")
-        .Increment(after.misses - cache_before.misses);
   }
 
   if (cancelled.load(std::memory_order_relaxed)) {

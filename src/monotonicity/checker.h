@@ -12,10 +12,6 @@
 #include "base/query.h"
 #include "base/status.h"
 
-namespace calm {
-class QueryResultCache;
-}
-
 namespace calm::monotonicity {
 
 // The monotonicity hierarchy of Section 3.1 (Definition 1):
@@ -65,12 +61,6 @@ struct ExhaustiveOptions {
   // enumeration-order-least orbit member, verdicts AND counterexamples are
   // byte-identical to the full sweep for generic queries.
   SymmetryMode symmetry = SymmetryMode::kAuto;
-  // Optional canonical result cache (base/result_cache.h) for the base Q(I)
-  // evaluations, consulted only while the symmetry reduction is active (its
-  // correctness rests on the same genericity assumption). A sweep visits
-  // each canonical I once, so a cache only pays when the caller shares it
-  // across several sweeps of the same query. Not owned.
-  QueryResultCache* cache = nullptr;
   // When non-empty, a single-target sweep journals per-candidate progress
   // into <checkpoint_dir>/<sweep id>.wal (monotonicity/sweep_checkpoint.h)
   // and a rerun with the same query, class, and bounds resumes: recorded
@@ -142,15 +132,7 @@ Result<std::optional<Counterexample>> FindViolationRandom(
 // candidate I; `i` must outlive the checker.
 class PairChecker {
  public:
-  // When `cache` is non-null, the base Q(i) evaluation goes through it, so
-  // isomorphic outer instances met by several sweeps share one evaluation.
-  // The per-pair Q(i u j) checks always run directly through the union
-  // evaluator: unions rarely repeat within a search, so canonicalizing each
-  // one costs more than it saves. Callers must only pass a cache under the
-  // genericity gate.
-  PairChecker(const Query& query, const Instance& i,
-              QueryResultCache* cache = nullptr)
-      : query_(query), i_(i), cache_(cache) {}
+  PairChecker(const Query& query, const Instance& i) : query_(query), i_(i) {}
 
   // Returns a counterexample iff Q(i) is not a subset of Q(i u j) — the
   // retracted fact is the first one in Q(i)'s iteration order, identical to
@@ -158,11 +140,8 @@ class PairChecker {
   Result<std::optional<Counterexample>> Check(const Instance& j);
 
  private:
-  Status EvalFactsMaybeCached(const Instance& input, std::vector<Fact>* out);
-
   const Query& query_;
   const Instance& i_;
-  QueryResultCache* cache_ = nullptr;
   bool base_ready_ = false;
   Status base_status_;            // Q(i)'s error, replayed on every Check
   std::vector<Fact> base_facts_;  // Q(i) in iteration order

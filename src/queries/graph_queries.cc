@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/evaluator.h"
-
 namespace calm::queries {
 
 namespace {
@@ -368,15 +366,10 @@ class ClosureUnionEvaluator : public UnionEvaluator {
 };
 
 // The factory wired onto TC / Q_TC. Declines (falling back to the overlay
-// evaluator) when incremental mode is off — the --incremental ablation and
-// the parity tests compare exactly these two routes — or when the base
-// exceeds the bitmask budget.
+// evaluator) when the base exceeds the bitmask budget.
 NativeQuery::UnionEvalFactory ClosureUnionFactory(bool complement) {
   return [complement](const Query& query, const Instance& i)
              -> std::unique_ptr<UnionEvaluator> {
-    if (datalog::DefaultIncrementalMode() != datalog::IncrementalMode::kOn) {
-      return nullptr;
-    }
     auto ev = std::make_unique<ClosureUnionEvaluator>(query, i, complement);
     if (!ev->viable()) return nullptr;
     return ev;

@@ -293,8 +293,6 @@ TEST(ReducedSweepTest, FindViolationMatchesFullSweepOnFigure12Queries) {
     for (SymmetryMode mode : {SymmetryMode::kForceOn, SymmetryMode::kAuto}) {
       ExhaustiveOptions reduced = s.opts;
       reduced.symmetry = mode;
-      QueryResultCache cache(*s.query);
-      reduced.cache = &cache;
       EXPECT_EQ(Render(FindViolation(*s.query, s.cls, reduced)), expected)
           << s.label << " (" << MonotonicityClassName(s.cls) << ", "
           << (mode == SymmetryMode::kAuto ? "auto" : "forced") << ")";

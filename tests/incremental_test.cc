@@ -5,8 +5,9 @@
 // programs, the Adom/negation recompute path, the fallback gates, and
 // repeated overlays on one evaluator (which exercises the epoch rollback
 // and base-row restoration between checks). The checker-level tests pin
-// verdict identity between --incremental=on and off at several thread
-// counts, for both Datalog and native closure queries.
+// verdict identity between the incremental union evaluators and queries
+// that evaluate every union from scratch, at several thread counts, for
+// both Datalog and native closure queries.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "datalog/relstore.h"
 #include "monotonicity/checker.h"
 #include "queries/graph_queries.h"
+#include "reference_eval.h"
 
 namespace calm::datalog {
 namespace {
@@ -168,15 +170,6 @@ Instance RandomOverlay(std::mt19937& rng) {
   return j;
 }
 
-// The targeted delta tests pin the bytecode engine explicitly: they assert
-// supported() and the superset short-circuit, which the tree-engine oracle
-// (CALM_ENGINE=tree CI leg) legitimately declines via fallback.
-EvalOptions BytecodeOptions() {
-  EvalOptions options;
-  options.engine = EvalEngine::kBytecode;
-  return options;
-}
-
 std::vector<Fact> InstanceFacts(const Instance& in) {
   std::vector<Fact> out;
   in.ForEachFact(
@@ -237,7 +230,7 @@ TEST(IncrementalEvalTest, RandomStratifiedOverlaysMatchFromScratch) {
     std::mt19937 rng(7000 + seed);
     Result<Program> program = Parse(RandomProgram(rng));
     ASSERT_TRUE(program.ok()) << "generator bug, seed " << seed;
-    Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program, BytecodeOptions());
+    Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program);
     ASSERT_TRUE(prepared.ok()) << "seed " << seed;
     Instance base = RandomBase(rng);
     std::vector<Instance> overlays;
@@ -257,7 +250,7 @@ TEST(IncrementalEvalTest, AdomNegationRecomputeAndRollback) {
       "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
       "O(x, y) :- Adom(x), Adom(y), !T(x, y).");
   ASSERT_TRUE(program.ok());
-  Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program, BytecodeOptions());
+  Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program);
   ASSERT_TRUE(prepared.ok());
 
   Instance base;
@@ -292,7 +285,7 @@ TEST(IncrementalEvalTest, SupersetContractLeavesOutputUntouched) {
   Result<Program> program =
       Parse("T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).");
   ASSERT_TRUE(program.ok());
-  Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program, BytecodeOptions());
+  Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program);
   ASSERT_TRUE(prepared.ok());
   Instance base;
   base.Insert(Fact("E", {V(0), V(1)}));
@@ -325,7 +318,7 @@ TEST(IncrementalEvalTest, RetractionClearsSupersetFlag) {
   Result<Program> program =
       Parse("O(x) :- F(x), !Q(x). Q(x) :- E(x, y).");
   ASSERT_TRUE(program.ok());
-  Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program, BytecodeOptions());
+  Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program);
   ASSERT_TRUE(prepared.ok());
   Instance base;
   base.Insert(Fact("F", {V(0)}));
@@ -347,9 +340,6 @@ TEST(IncrementalEvalTest, RetractionClearsSupersetFlag) {
 // Every configuration the delta machinery cannot serve must still answer —
 // through the from-scratch route — and say so via supported().
 TEST(IncrementalEvalTest, UnsupportedConfigurationsFallBack) {
-  const std::string text = "P(x, y) :- E(x, y).";
-  Result<Program> program = Parse(text);
-  ASSERT_TRUE(program.ok());
   Instance base;
   base.Insert(Fact("E", {V(0), V(1)}));
   Instance j;
@@ -372,21 +362,6 @@ TEST(IncrementalEvalTest, UnsupportedConfigurationsFallBack) {
   };
 
   {
-    EvalOptions tree;
-    tree.engine = EvalEngine::kTree;
-    Result<PreparedProgram> prepared = PreparedProgram::Prepare(*program, tree);
-    ASSERT_TRUE(prepared.ok());
-    expect_fallback(*prepared, "tree engine");
-  }
-  {
-    EvalOptions naive;
-    naive.semi_naive = false;
-    Result<PreparedProgram> prepared =
-        PreparedProgram::Prepare(*program, naive);
-    ASSERT_TRUE(prepared.ok());
-    expect_fallback(*prepared, "naive iteration");
-  }
-  {
     Result<Program> gamma = Parse("P(x) :- F(x), !P(x).");
     ASSERT_TRUE(gamma.ok());
     Result<PreparedProgram> prepared =
@@ -401,8 +376,7 @@ TEST(IncrementalEvalTest, UnsupportedConfigurationsFallBack) {
     Result<PreparedProgram> prepared = PreparedProgram::Prepare(
         *invent, EvalOptions{}, /*allow_invention=*/true);
     ASSERT_TRUE(prepared.ok());
-    std::unique_ptr<IncrementalEval> inc = prepared->BeginIncremental(base);
-    EXPECT_FALSE(inc->supported()) << "ilog invention";
+    expect_fallback(*prepared, "ilog invention");
   }
 }
 
@@ -503,17 +477,14 @@ TEST(UnionEvaluatorTest, EngineEvaluatorsMatchOverlayRoute) {
   }
 }
 
-// Restores the process-wide incremental mode on scope exit, so a failing
-// assertion cannot leak a pinned mode into later tests.
-struct ModeGuard {
-  ~ModeGuard() { SetDefaultIncrementalMode(IncrementalMode::kDefault); }
-};
-
-// Checker verdicts and counterexample witnesses are byte-identical with the
-// incremental path on and off, at every thread count — the whole point of
-// the delta machinery is being invisible to the sweeps' results.
-TEST(IncrementalCheckerTest, VerdictsIdenticalOnVsOffAcrossThreads) {
-  ModeGuard guard;
+// Checker verdicts and counterexample witnesses are byte-identical between
+// a query whose union evaluator runs incrementally (the materialized Datalog
+// fixpoint, the closure matrix) and a query that evaluates every union from
+// scratch (a NativeQuery with no union factory takes the default overlay
+// route), at every thread count: the delta machinery must be invisible to
+// the sweeps' results. The Datalog programs are checked against the
+// reference evaluator, Q_TC against its own native Eval.
+TEST(IncrementalCheckerTest, VerdictsMatchFromScratchAcrossThreads) {
   const struct {
     const char* name;
     const char* text;  // nullptr = native Q_TC
@@ -532,45 +503,42 @@ TEST(IncrementalCheckerTest, VerdictsIdenticalOnVsOffAcrossThreads) {
   options.max_facts_j = 2;
 
   for (const auto& spec : kSpecs) {
+    std::unique_ptr<Query> fast;
+    std::unique_ptr<Query> from_scratch;
+    if (spec.text == nullptr) {
+      fast = queries::MakeComplementTransitiveClosure();
+      const Query& native = *fast;
+      from_scratch = std::make_unique<NativeQuery>(
+          native.name(), native.input_schema(), native.output_schema(),
+          NativeQuery::EvalFn(
+              [&native](const Instance& in) { return native.Eval(in); }));
+    } else {
+      fast = std::make_unique<DatalogQuery>(
+          DatalogQuery::FromTextOrDie(spec.text, spec.name));
+      Result<std::unique_ptr<Query>> ref =
+          reference::MakeQuery(ParseOrDie(spec.text), spec.name);
+      ASSERT_TRUE(ref.ok()) << spec.name;
+      from_scratch = std::move(ref).value();
+    }
     for (auto cls : {monotonicity::MonotonicityClass::kMonotone,
                      monotonicity::MonotonicityClass::kDomainDisjoint}) {
-      // verdicts[mode][thread-count index]
-      std::vector<std::string> verdicts[2];
-      for (int mode = 0; mode < 2; ++mode) {
-        SetDefaultIncrementalMode(mode == 0 ? IncrementalMode::kOn
-                                            : IncrementalMode::kOff);
-        // Queries are built inside the mode loop: DatalogQuery resolves the
-        // mode at Prepare time, the native factories at evaluator-creation
-        // time.
-        std::unique_ptr<Query> native;
-        std::optional<DatalogQuery> dq;
-        const Query* query = nullptr;
-        if (spec.text == nullptr) {
-          native = queries::MakeComplementTransitiveClosure();
-          query = native.get();
-        } else {
-          dq = DatalogQuery::FromTextOrDie(spec.text, spec.name);
-          query = &*dq;
-        }
-        for (size_t threads : {1u, 2u, 8u}) {
-          options.threads = threads;
-          auto r = monotonicity::FindViolation(*query, cls, options);
+      std::string first;
+      for (size_t threads : {1u, 2u, 8u}) {
+        options.threads = threads;
+        std::string verdicts[2];
+        const Query* routes[2] = {fast.get(), from_scratch.get()};
+        for (int k = 0; k < 2; ++k) {
+          auto r = monotonicity::FindViolation(*routes[k], cls, options);
           ASSERT_TRUE(r.ok()) << spec.name;
-          verdicts[mode].push_back(
-              r->has_value() ? (*r)->ToString() : "<no violation>");
+          verdicts[k] = r->has_value() ? (*r)->ToString() : "<no violation>";
         }
-      }
-      for (size_t t = 0; t < verdicts[0].size(); ++t) {
-        EXPECT_EQ(verdicts[0][t], verdicts[1][t])
-            << spec.name << " class " << monotonicity::MonotonicityClassName(cls)
-            << " thread slot " << t
-            << ": incremental on and off disagree";
-      }
-      // Thread counts must not change the verdict either.
-      for (int mode = 0; mode < 2; ++mode) {
-        for (size_t t = 1; t < verdicts[mode].size(); ++t) {
-          EXPECT_EQ(verdicts[mode][0], verdicts[mode][t]) << spec.name;
-        }
+        EXPECT_EQ(verdicts[0], verdicts[1])
+            << spec.name << " class "
+            << monotonicity::MonotonicityClassName(cls) << " threads "
+            << threads << ": incremental and from-scratch routes disagree";
+        // Thread counts must not change the verdict either.
+        if (first.empty()) first = verdicts[0];
+        EXPECT_EQ(first, verdicts[0]) << spec.name << " threads " << threads;
       }
     }
   }
