@@ -281,17 +281,13 @@ void BM_DedupInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupInsert)->Arg(4096)->Arg(65536);
 
-// Morsel-parallel stratum evaluation on an instance large enough that the
-// semi-naive deltas exceed the morsel size: Arg is eval_threads. Outputs are
-// byte-identical at any count (pinned by tests/engine_diff_test.cc); the
-// threads=N over threads=1 speedup on multi-core hosts is the tracked
-// number. On single-core CI runners the lanes execute inline, so this also
-// tracks the sink/merge overhead of the parallel plumbing itself.
-void BM_EvalPreparedThreads(benchmark::State& state) {
-  datalog::EvalOptions opts;
-  opts.eval_threads = static_cast<int>(state.range(0));
+// The serial fixpoint on an instance large enough that the semi-naive
+// deltas run to thousands of rows: TC over 400 nodes and 1600 edges. The
+// per-layer cost split of this case (stratum fixpoint vs. seeding and
+// ToInstance materialization) is ROADMAP item 3's evidence (a).
+void BM_EvalPreparedLargeTc(benchmark::State& state) {
   Result<datalog::PreparedProgram> p =
-      datalog::PreparedProgram::Prepare(TcProgram(), opts);
+      datalog::PreparedProgram::Prepare(TcProgram(), {});
   if (!p.ok()) {
     state.SkipWithError("prepare failed");
     return;
@@ -303,13 +299,7 @@ void BM_EvalPreparedThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EvalPreparedThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
+BENCHMARK(BM_EvalPreparedLargeTc)->Unit(benchmark::kMillisecond);
 
 // Incremental union evaluation: the Q(I) fixpoint is materialized once by
 // MakeUnionEvaluator; each single-fact J then runs as an epoch-scoped

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,13 +14,13 @@
 #include "base/metrics.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
-#include "datalog/evaluator.h"
 
 namespace calm::bench {
 
 // Flags shared by the bench binaries:
-//   --threads N       worker threads for the parallel checkers (also settable
-//                     via the CALM_THREADS environment variable; the flag wins)
+//   --threads N       worker threads for the parallel checkers, 1 to
+//                     kMaxThreads (also settable via the CALM_THREADS
+//                     environment variable; the flag wins)
 //   --json PATH       write the report's verdicts/metrics as JSON to PATH
 //   --domain_bump N   widen the exhaustive searches' domain_size by N beyond
 //                     the seed bounds (the CI "deep sweep" job passes 1; only
@@ -29,11 +30,6 @@ namespace calm::bench {
 //   --trace_out P     enable span tracing for the run and write a Chrome
 //                     trace_event file to P on exit (load in chrome://tracing
 //                     or ui.perfetto.dev; tools/trace_view.py summarizes it)
-//   --eval_threads N  worker threads for morsel-parallel stratum evaluation
-//                     inside a single bytecode fixpoint (default 1 = serial;
-//                     results are byte-identical at any count); also settable
-//                     via CALM_EVAL_THREADS, the flag wins
-//                     (SetDefaultEvalThreads)
 //   --checkpoint_dir D  journal every exhaustive sweep's progress into D
 //                     (monotonicity/sweep_checkpoint.h) so a killed run —
 //                     SIGINT/SIGTERM with InstallCancelHandlers, or a hard
@@ -44,48 +40,47 @@ namespace calm::bench {
 // prefix is an error), a google-benchmark flag ("--benchmark_..."), or a
 // binary-specific flag the caller allowlists via `passthrough`. Anything
 // else exits 2 with the usage below — a typo never silently becomes a
-// default-valued run.
+// default-valued run. Numeric values are decimal digits only (ParseCount),
+// so "-1" or " 4" is an error, not a wrapped or trimmed count.
 struct Flags {
   size_t threads = 0;     // 0 = CALM_THREADS / hardware default
   std::string json_path;  // empty = no JSON output
   size_t domain_bump = 0;
   std::string metrics_out;  // empty = metrics registry stays disabled
   std::string trace_out;    // empty = tracing stays disabled
-  size_t eval_threads = 0;  // 0 = CALM_EVAL_THREADS / serial default
   std::string checkpoint_dir;  // empty = sweeps run without a journal
 };
 
 namespace internal {
 
-// One row per flag: a string sink or a numeric sink (positive when the
-// value must be > 0). Both "--name value" and "--name=value" forms work.
+// One row per flag: a string sink or a numeric sink accepting [min, max]
+// (unused for string flags). Both "--name value" and "--name=value" forms
+// work.
 struct FlagSpec {
   const char* name;
   const char* value_name;
   const char* help;
   std::string* str;
   size_t* num;
-  bool positive;
+  size_t min;
+  size_t max;
 };
 
 inline std::vector<FlagSpec> FlagSpecs(Flags* flags) {
   return {
       {"--threads", "N", "checker worker threads (default: CALM_THREADS)",
-       nullptr, &flags->threads, true},
-      {"--eval_threads", "N",
-       "morsel-parallel evaluation threads (default: CALM_EVAL_THREADS)",
-       nullptr, &flags->eval_threads, true},
+       nullptr, &flags->threads, 1, kMaxThreads},
       {"--domain_bump", "N", "widen exhaustive domain_size by N", nullptr,
-       &flags->domain_bump, false},
+       &flags->domain_bump, 0, SIZE_MAX},
       {"--json", "PATH", "write the report as JSON", &flags->json_path,
-       nullptr, false},
+       nullptr, 0, 0},
       {"--metrics_out", "PATH", "enable metrics, write JSON snapshot on exit",
-       &flags->metrics_out, nullptr, false},
+       &flags->metrics_out, nullptr, 0, 0},
       {"--trace_out", "PATH", "enable tracing, write Chrome trace on exit",
-       &flags->trace_out, nullptr, false},
+       &flags->trace_out, nullptr, 0, 0},
       {"--checkpoint_dir", "DIR",
        "journal sweep progress into DIR; a rerun resumes",
-       &flags->checkpoint_dir, nullptr, false},
+       &flags->checkpoint_dir, nullptr, 0, 0},
   };
 }
 
@@ -201,20 +196,19 @@ inline Flags ParseFlags(int* argc, char** argv,
       *hit->str = value;
       continue;
     }
-    char* end = nullptr;
-    unsigned long n = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || (hit->positive && n == 0)) {
-      std::fprintf(stderr, "%s expects a %s integer, got %s\n", hit->name,
-                   hit->positive ? "positive" : "non-negative", value);
-      std::exit(2);
+    if (!ParseCount(value, hit->min, hit->max, hit->num)) {
+      const std::string bounds =
+          hit->max == SIZE_MAX ? "a non-negative integer"
+                               : "an integer in [" + std::to_string(hit->min) +
+                                     ", " + std::to_string(hit->max) + "]";
+      usage_and_exit(
+          "%s", (std::string(hit->name) + " expects " + bounds + ", got \"" +
+                 value + "\"")
+                    .c_str());
     }
-    *hit->num = static_cast<size_t>(n);
   }
   *argc = out;
   if (flags.threads != 0) SetDefaultThreads(flags.threads);
-  if (flags.eval_threads != 0) {
-    datalog::SetDefaultEvalThreads(static_cast<int>(flags.eval_threads));
-  }
   if (!flags.metrics_out.empty()) SetMetricsEnabled(true);
   if (!flags.trace_out.empty()) {
     if (!TracingCompiledIn()) {

@@ -1,5 +1,6 @@
 #include "base/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -156,13 +157,8 @@ std::atomic<size_t> g_thread_override{0};
 size_t EnvThreads() {
   static size_t cached = [] {
     const char* env = std::getenv("CALM_THREADS");
-    if (env != nullptr) {
-      char* parse_end = nullptr;
-      unsigned long n = std::strtoul(env, &parse_end, 10);
-      if (parse_end != env && *parse_end == '\0' && n > 0) {
-        return static_cast<size_t>(n);
-      }
-    }
+    size_t n = 0;
+    if (env != nullptr && ParseCount(env, 1, kMaxThreads, &n)) return n;
     unsigned hw = std::thread::hardware_concurrency();
     return static_cast<size_t>(hw == 0 ? 1 : hw);
   }();
@@ -171,13 +167,28 @@ size_t EnvThreads() {
 
 }  // namespace
 
+bool ParseCount(const char* text, size_t min, size_t max, size_t* out) {
+  if (*text == '\0') return false;
+  size_t n = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    const size_t digit = static_cast<size_t>(*p - '0');
+    // Rejects n * 10 + digit > max without overflowing.
+    if (digit > max || n > (max - digit) / 10) return false;
+    n = n * 10 + digit;
+  }
+  if (n < min) return false;
+  *out = n;
+  return true;
+}
+
 size_t DefaultThreads() {
   size_t n = g_thread_override.load(std::memory_order_relaxed);
   return n != 0 ? n : EnvThreads();
 }
 
 void SetDefaultThreads(size_t n) {
-  g_thread_override.store(n, std::memory_order_relaxed);
+  g_thread_override.store(std::min(n, kMaxThreads), std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::Global() {

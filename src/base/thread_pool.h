@@ -52,13 +52,24 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
+// The largest thread count accepted from a flag, the environment or
+// SetDefaultThreads: far above any core count the checkers scale to, far
+// below a count whose worker vector could not be allocated.
+inline constexpr size_t kMaxThreads = 1024;
+
+// Parses a count: one or more decimal digits and nothing else (no sign, no
+// blanks) naming a value in [min, max]. On any other text returns false and
+// leaves *out alone. Thread counts parse with [1, kMaxThreads]: the
+// benches' --threads flag and CALM_THREADS both go through here.
+bool ParseCount(const char* text, size_t min, size_t max, size_t* out);
+
 // The process-wide thread count: the last SetDefaultThreads(n > 0) value if
-// any, else the CALM_THREADS environment variable, else
-// std::thread::hardware_concurrency() (at least 1).
+// any, else the CALM_THREADS environment variable when it parses as a thread
+// count, else std::thread::hardware_concurrency() (at least 1).
 size_t DefaultThreads();
 
-// Overrides DefaultThreads(); n == 0 resets to the environment/hardware
-// value. Benches wire their --threads flag here.
+// Overrides DefaultThreads(), clamped to kMaxThreads; n == 0 resets to the
+// environment/hardware value. Benches wire their --threads flag here.
 void SetDefaultThreads(size_t n);
 
 // Convenience for the checkers: runs fn(i) for i in [0, count) with roughly

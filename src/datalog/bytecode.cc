@@ -274,10 +274,6 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
   for (const ValueSrc& src : rule.head) {
     head[h++] = src.slot >= 0 ? child[src.slot] : ccodes[src.const_id];
   }
-  if (sink_ != nullptr) {
-    for (size_t i = 0; i < h; ++i) (*sink_)[i].push_back(head[i]);
-    return;
-  }
   if (head_store_->InsertCodes(head, static_cast<uint32_t>(h))) {
     ++counters_->inserted;
   } else {
@@ -456,31 +452,22 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
   // is preserved, and mid-round derivations are invisible to every scan and
   // probe anyway (visibility horizons; probe indexes extend only inside
   // PrepareProbe, never on insert).
-  std::vector<std::vector<uint32_t>>& emit =
-      sink_ != nullptr ? *sink_ : scratch_->emit_cols;
+  std::vector<std::vector<uint32_t>>& emit = scratch_->emit_cols;
   if (emit.size() < nhead) emit.resize(nhead);
-  const bool direct = sink_ == nullptr;
-  if (direct) {
-    for (uint32_t i = 0; i < nhead; ++i) emit[i].clear();
-  }
+  for (uint32_t i = 0; i < nhead; ++i) emit[i].clear();
   // The emit columns are managed as raw storage plus one shared logical row
   // count `en`: per-row appends are pointer writes (no size bookkeeping, no
-  // value-initialized tails), and sizes are committed only before a flush
-  // and at return — the sink leaves with size() == rows emitted.
-  size_t en = emit[0].size();
-  size_t estore = en;
+  // value-initialized tails), and sizes are committed only before a flush.
+  size_t en = 0;
+  size_t estore = 0;
   auto ensure = [&](size_t cnt) {
     if (en + cnt <= estore) return;
     estore = std::max(std::max(estore * 2, en + cnt), size_t{1024});
     for (uint32_t i = 0; i < nhead; ++i) emit[i].resize(estore);
   };
-  auto commit = [&] {
-    for (uint32_t i = 0; i < nhead; ++i) emit[i].resize(en);
-    estore = en;
-  };
   auto flush = [&] {
     if (en == 0) return;
-    commit();
+    for (uint32_t i = 0; i < nhead; ++i) emit[i].resize(en);
     const uint32_t* ptrs[32];
     for (uint32_t i = 0; i < nhead; ++i) ptrs[i] = emit[i].data();
     head_store_->InsertBatchCols(ptrs, nhead, en, &counters_->inserted,
@@ -563,13 +550,9 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
       }
       en += cnt;
     }
-    if (direct && en >= kFlushRows) flush();
+    if (en >= kFlushRows) flush();
   }
-  if (direct) {
-    flush();
-  } else {
-    commit();
-  }
+  flush();
   return true;
 }
 
@@ -645,10 +628,6 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
                               : ccodes[s.idx];
         }
         ++counters_->applications;
-        if (sink_ != nullptr) {
-          for (uint32_t i = 0; i < nhead; ++i) (*sink_)[i].push_back(head[i]);
-          return;
-        }
         if (head_store_->InsertCodes(head, nhead)) {
           ++counters_->inserted;
         } else {
@@ -710,12 +689,9 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
       const uint32_t* hb = hits.data();
       const uint32_t* he = hb + hits.size();
       if (bound_hits) he = std::lower_bound(hb, he, end);
-      if (is_delta) {
-        hb = std::lower_bound(hb, he, delta_lo);
-        // delta_hi == the horizon for whole-delta runs (the clamp above
-        // already cut there); a morsel's sub-range needs its own upper cut.
-        if (delta_hi < end) he = std::lower_bound(hb, he, delta_hi);
-      }
+      // A delta ends at the horizon (see Eval's contract in bytecode.h), so
+      // the clamp above is its upper cut too.
+      if (is_delta) hb = std::lower_bound(hb, he, delta_lo);
       counters_->probe_hits += static_cast<uint64_t>(he - hb);
       for (; hb != he; ++hb) {
         if (last) {

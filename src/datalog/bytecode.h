@@ -16,8 +16,8 @@ namespace calm::datalog {
 
 // Skolem-term hash-consing (Section 5.2): identical derivations reuse one
 // invented value, and numbering follows first-derivation order — so a run
-// that enumerates derivations in the same order (any eval_threads count, a
-// repeated evaluation) invents byte-identical values.
+// that enumerates derivations in the same order (a repeated evaluation)
+// invents byte-identical values.
 class InventionTable {
  public:
   Value GetOrCreate(uint32_t relation, const Tuple& args) {
@@ -44,9 +44,9 @@ class InventionTable {
 // in order and appending matches in row order makes the breadth-first leaf
 // order equal a depth-first nested-loop enumeration in the compiled join
 // order. That fixed derivation order is what makes ILOG's invented-value
-// numbering, EvalStats and morsel-parallel merges deterministic; the
-// derived facts themselves are checked against an independent reference
-// evaluator (tests/engine_diff_test.cc).
+// numbering and EvalStats deterministic; the derived facts themselves are
+// checked against an independent reference evaluator
+// (tests/engine_diff_test.cc).
 //
 // Frames hold dictionary codes, not Values: the owning Database's shared
 // ValueDict makes code equality coincide with value equality, so joins,
@@ -187,17 +187,12 @@ class BytecodeExecutor {
   // names a positive atom, that atom ranges over rows [delta_lo, delta_hi)
   // of its relation's store instead of the full store (row-range
   // semi-naive: the delta is a contiguous row slice of the main store, so
-  // no second delta store is maintained).
+  // no second delta store is maintained). `delta_hi` must be that atom's
+  // visibility horizon — ranges[g].second for a growing relation, the
+  // store's row count otherwise — because probes of the delta atom cut
+  // their hit lists only there.
   void Eval(const RuleBytecode& rule, size_t delta_index, uint32_t delta_lo,
             uint32_t delta_hi);
-
-  // Redirects head emissions into `sink` (one code column per head
-  // position, appended in emission order) instead of inserting into the
-  // database. Applications are still counted; inserted/rejected are not —
-  // the morsel driver decides those when it merges the sink serially
-  // through InsertBatchCols. Only valid for rules without invention.
-  // Pass nullptr to restore direct insertion.
-  void SetSink(std::vector<std::vector<uint32_t>>* sink) { sink_ = sink; }
 
  private:
   // The exclusive row bound visible to this round for `rel`, and whether
@@ -261,7 +256,6 @@ class BytecodeExecutor {
   BytecodeScratch* scratch_;
   const std::vector<Value>* pool_;
   std::vector<uint32_t> const_codes_;  // const_id -> code in db_'s dict
-  std::vector<std::vector<uint32_t>>* sink_ = nullptr;
   std::vector<NegPlan> neg_plan_;
   std::vector<uint32_t> neg_codes_;  // staged code-space anti-probe keys
   // The current rule's head store, resolved once per Eval. Non-null because

@@ -13,16 +13,6 @@
 
 namespace calm::datalog {
 
-// The process-wide worker count that EvalOptions::eval_threads == 0 resolves
-// to. Starts as 1 (serial) unless the CALM_EVAL_THREADS environment variable
-// names a larger count. Morsel-parallel stratum evaluation partitions
-// semi-naive delta rows across this many workers; results are byte-identical
-// at any count (pinned by tests/engine_diff_test.cc).
-int DefaultEvalThreads();
-// Overrides the process-wide default (bench/test plumbing for
-// --eval_threads). Passing n <= 0 restores the environment-derived value.
-void SetDefaultEvalThreads(int n);
-
 struct EvalOptions {
   // When the program reads the Adom relation as edb, seed it with the active
   // domain of the input (the paper's convention; the defining rules are
@@ -30,11 +20,6 @@ struct EvalOptions {
   bool populate_adom = true;
   // Abort with ResourceExhausted when more facts than this are stored.
   size_t max_total_facts = 10'000'000;
-  // Worker threads for morsel-parallel stratum evaluation, resolved against
-  // DefaultEvalThreads() at Prepare time when 0.
-  // Results are byte-identical at any count (differential-tested); only
-  // wall-clock changes.
-  int eval_threads = 0;
 };
 
 struct EvalStats {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "base/metrics.h"
-#include "base/thread_pool.h"
 #include "base/trace.h"
 
 namespace calm::datalog {
@@ -32,16 +31,6 @@ inline bool SchemaAdmits(const Schema& schema, uint32_t name, const Tuple& t) {
   return arity != 0 && t.size() == arity;
 }
 
-// One morsel worker's private state: frame scratch, counters, and the
-// deferred head emissions (one code column per head position). Lanes only
-// read the shared database during the concurrent section; everything they
-// produce lands here and is merged serially afterwards.
-struct MorselLane {
-  BytecodeScratch bytecode;
-  ExecCounters counters;
-  std::vector<std::vector<uint32_t>> sink;
-};
-
 // Per-thread evaluation scratch: the working database, the executor's frame
 // buffers and the row-range deltas live across calls (cleared, capacity
 // kept), so a checker loop evaluating one prepared program millions of times
@@ -55,9 +44,6 @@ struct EvalScratch {
   Database db;
   BytecodeScratch bytecode;
   std::vector<std::pair<uint32_t, uint32_t>> ranges;  // row-range deltas
-  // Morsel-parallel lane pool (unique_ptr: stable addresses while the lane
-  // vector grows to its high-water mark; reused across fixpoints).
-  std::vector<std::unique_ptr<MorselLane>> lanes;
 };
 
 EvalScratch& LocalScratch() {
@@ -196,88 +182,6 @@ Status RunFixpointBytecode(
 
   // Semi-naive: per (rule, growing-atom) site, run with that atom
   // restricted to its relation's last-round row range.
-  //
-  // Morsel parallelism (eval_threads > 1): a site whose delta atom drives
-  // the outermost loop emits its derivations in ascending delta-row order,
-  // so splitting [lo, hi) into contiguous morsels and concatenating the
-  // morsel outputs reproduces the serial emission stream exactly. Eligible
-  // sites are queued; a flush evaluates every queued morsel concurrently
-  // into a private lane (counting applications/probes against the shared,
-  // horizon-frozen stores, which no lane mutates) and then merges the lane
-  // sinks serially in (site, morsel) order through the batched dedup
-  // insert — the insert-attempt sequence, and with it every verdict,
-  // counter, and EvalStats field, is byte-identical at any thread count.
-  // Sites the argument does not cover (delta atom not outermost, invented
-  // or nullary heads) run serially in place, after flushing the queue so
-  // site order is preserved.
-  const int threads = std::max(1, options.eval_threads);
-  constexpr uint32_t kMorselRows = 1024;
-  struct PendingSite {
-    uint32_t rule;
-    uint32_t lo, hi;
-  };
-  struct MorselTask {
-    size_t site;
-    uint32_t lo, hi;
-  };
-  std::vector<PendingSite> pending;
-  std::vector<MorselTask> tasks;
-  std::vector<BytecodeExecutor> lane_exec;
-  auto flush_pending = [&] {
-    if (pending.empty()) return;
-    while (scratch.lanes.size() < tasks.size()) {
-      scratch.lanes.push_back(std::make_unique<MorselLane>());
-    }
-    // Lane executors are built serially: construction interns the constant
-    // pool into the shared dictionary. Lanes never insert (sink mode), and
-    // stats/invention stay with the driver.
-    lane_exec.clear();
-    lane_exec.reserve(tasks.size());
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      const RuleBytecode& rb = bytecode.rules[pending[tasks[t].site].rule];
-      MorselLane& lane = *scratch.lanes[t];
-      lane.counters = ExecCounters{};
-      lane.sink.resize(rb.head.size());
-      for (std::vector<uint32_t>& col : lane.sink) col.clear();
-      lane_exec.emplace_back(bytecode, db, negation_db, &growing, &ranges,
-                             /*stats=*/nullptr, /*invention=*/nullptr,
-                             &lane.counters, &lane.bytecode);
-      lane_exec.back().SetSink(&lane.sink);
-    }
-    // Pre-extend every probe index the lanes will touch: lazy index
-    // building is the one store mutation inside Eval, so it must happen
-    // before the concurrent section.
-    for (const PendingSite& site : pending) {
-      for (const JoinOp& op : bytecode.rules[site.rule].ops) {
-        if (op.mask == 0) continue;
-        RelStore* s = db->Store(op.relation);
-        if (s != nullptr && s->size() > 0) s->PrepareProbe(op.mask);
-      }
-    }
-    ParallelFor(tasks.size(), static_cast<size_t>(threads), [&](size_t t) {
-      lane_exec[t].Eval(bytecode.rules[pending[tasks[t].site].rule],
-                        /*delta_index=*/0, tasks[t].lo, tasks[t].hi);
-    });
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      const PendingSite& site = pending[tasks[t].site];
-      const RuleBytecode& rb = bytecode.rules[site.rule];
-      MorselLane& lane = *scratch.lanes[t];
-      exec.probes += lane.counters.probes;
-      exec.probe_hits += lane.counters.probe_hits;
-      exec.applications += lane.counters.applications;
-      const uint32_t arity = static_cast<uint32_t>(rb.head.size());
-      const size_t n = lane.sink.empty() ? 0 : lane.sink[0].size();
-      if (n > 0) {
-        const uint32_t* ptrs[32];
-        for (uint32_t c = 0; c < arity; ++c) ptrs[c] = lane.sink[c].data();
-        db->Store(rb.head_relation)
-            ->InsertBatchCols(ptrs, arity, n, &exec.inserted, &exec.rejected);
-      }
-      if (metrics_on) rule_derived[site.rule] += n;
-    }
-    pending.clear();
-    tasks.clear();
-  };
   while (any) {
     if (db->size() > options.max_total_facts) {
       return finish(
@@ -294,22 +198,10 @@ Status RunFixpointBytecode(
         }
       }
       if (lo >= hi) continue;
-      const RuleBytecode& rb = bytecode.rules[r];
-      if (threads > 1 && atom_index == 0 && !rb.head_invents &&
-          !rb.head.empty() && rb.head.size() <= 32 && hi - lo > kMorselRows) {
-        const size_t si = pending.size();
-        pending.push_back({r, lo, hi});
-        for (uint32_t m = lo; m < hi; m += kMorselRows) {
-          tasks.push_back({si, m, std::min(m + kMorselRows, hi)});
-        }
-        continue;
-      }
-      flush_pending();
       uint64_t before = attempts();
-      executor.Eval(rb, atom_index, lo, hi);
+      executor.Eval(bytecode.rules[r], atom_index, lo, hi);
       if (metrics_on) rule_derived[r] += attempts() - before;
     }
-    flush_pending();
     any = advance();
     if (stats != nullptr) ++stats->fixpoint_rounds;
     ++rounds;
@@ -528,8 +420,6 @@ Result<PreparedProgram> PreparedProgram::Prepare(const Program& program,
   CALM_ASSIGN_OR_RETURN(p.info_, Analyze(program, allow_invention));
   CALM_ASSIGN_OR_RETURN(Stratification strat, Stratify(program, p.info_));
   p.options_ = options;
-  p.options_.eval_threads =
-      options.eval_threads > 0 ? options.eval_threads : DefaultEvalThreads();
   p.CompileRules(program);
   p.bytecode_ = CompileBytecode(p.compiled_);
   for (uint32_t s = 0; s < strat.stratum_count; ++s) {
@@ -544,8 +434,6 @@ Result<PreparedProgram> PreparedProgram::PrepareFixedNegation(
   PreparedProgram p;
   CALM_ASSIGN_OR_RETURN(p.info_, Analyze(program));
   p.options_ = options;
-  p.options_.eval_threads =
-      options.eval_threads > 0 ? options.eval_threads : DefaultEvalThreads();
   p.fixed_negation_ = true;
   p.CompileRules(program);
   p.bytecode_ = CompileBytecode(p.compiled_);

@@ -654,49 +654,28 @@ Database::Database(const Instance& instance) : Database() {
       [&](uint32_t name, const Tuple& t) { Insert(name, t); });
 }
 
+// The stores point at their dictionary, so a copy deep-copies it and
+// rebinds; moves keep the heap-allocated dictionary where it is.
 Database::Database(const Database& o)
     : dict_(std::make_unique<ValueDict>(*o.dict_)),
       rels_(o.rels_),
       epochs_(o.epochs_),
-      last_(o.last_.load(std::memory_order_relaxed)) {
+      last_(o.last_) {
   for (auto& [name, store] : rels_) store.BindDict(dict_.get());
 }
 
 Database& Database::operator=(const Database& o) {
-  if (this == &o) return *this;
-  dict_ = std::make_unique<ValueDict>(*o.dict_);
-  rels_ = o.rels_;
-  epochs_ = o.epochs_;
-  last_.store(o.last_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  for (auto& [name, store] : rels_) store.BindDict(dict_.get());
-  return *this;
-}
-
-Database::Database(Database&& o) noexcept
-    : dict_(std::move(o.dict_)),
-      rels_(std::move(o.rels_)),
-      epochs_(std::move(o.epochs_)),
-      last_(o.last_.load(std::memory_order_relaxed)) {}
-
-Database& Database::operator=(Database&& o) noexcept {
-  if (this == &o) return *this;
-  dict_ = std::move(o.dict_);
-  rels_ = std::move(o.rels_);
-  epochs_ = std::move(o.epochs_);
-  last_.store(o.last_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
+  if (this != &o) *this = Database(o);
   return *this;
 }
 
 RelStore* Database::Find(uint32_t rel) const {
-  const size_t cached = last_.load(std::memory_order_relaxed);
-  if (cached < rels_.size() && rels_[cached].first == rel) {
-    return const_cast<RelStore*>(&rels_[cached].second);
+  if (last_ < rels_.size() && rels_[last_].first == rel) {
+    return const_cast<RelStore*>(&rels_[last_].second);
   }
   for (size_t i = 0; i < rels_.size(); ++i) {
     if (rels_[i].first == rel) {
-      last_.store(i, std::memory_order_relaxed);
+      last_ = i;
       return const_cast<RelStore*>(&rels_[i].second);
     }
   }
@@ -707,7 +686,7 @@ RelStore* Database::FindOrCreate(uint32_t rel) {
   RelStore* store = Find(rel);
   if (store != nullptr) return store;
   rels_.emplace_back(rel, RelStore());
-  last_.store(rels_.size() - 1, std::memory_order_relaxed);
+  last_ = rels_.size() - 1;
   store = &rels_.back().second;
   store->BindDict(dict_.get());
   return store;
@@ -760,7 +739,7 @@ void Database::RollbackEpoch() {
     rels_[i].second.RollbackTo(f.marks[i]);
   }
   dict_->TruncateTo(f.dict_size);
-  last_.store(0, std::memory_order_relaxed);
+  last_ = 0;
   epochs_.pop_back();
 }
 

@@ -2,7 +2,6 @@
 #define CALM_DATALOG_RELSTORE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -173,7 +172,7 @@ class RelStore {
   // insertion order — but arity-1/2 batches hash all keys up front
   // (simd::Mix64Batch), prefetch the dedup buckets ahead of resolution, and
   // pre-grow the table once so no rehash lands mid-batch. The bytecode
-  // engine's deferred-emission flush and the morsel-merge path live here.
+  // engine's deferred-emission flush lands here.
   // Attempt outcomes accumulate into `*inserted` / `*rejected`.
   void InsertBatchCols(const uint32_t* const* col_ptrs, uint32_t arity,
                        size_t n, uint64_t* inserted, uint64_t* rejected);
@@ -441,8 +440,7 @@ class RelStore {
   std::vector<MaskIndex> indexes_;  // few masks per store; linear scan
   std::vector<uint32_t> code_scratch_;
   // InsertBatchCols scratch (packed keys and their hashes), kept allocated
-  // across batches. Batch insertion is a single-writer operation, so member
-  // scratch is safe — morsel lanes never insert, only the serial merge does.
+  // across batches.
   std::vector<uint64_t> batch_keys_;
   std::vector<uint64_t> batch_hashes_;
   std::vector<Tuple> overflow_;  // arity-mismatched stragglers
@@ -453,15 +451,17 @@ class RelStore {
 // have a handful of relations); lookups linear-scan with a
 // most-recently-used cache. Copyable, so a prepared seed database can be
 // reused across the well-founded alternation's Gamma calls (the copy owns a
-// deep copy of the dictionary with identical code assignments).
+// deep copy of the dictionary with identical code assignments). Not
+// thread-safe even for const use: lookups update the MRU cache, so each
+// evaluation owns its databases.
 class Database {
  public:
   Database();
   explicit Database(const Instance& instance);
   Database(const Database& o);
   Database& operator=(const Database& o);
-  Database(Database&& o) noexcept;
-  Database& operator=(Database&& o) noexcept;
+  Database(Database&&) noexcept = default;
+  Database& operator=(Database&&) noexcept = default;
 
   bool Insert(uint32_t rel, const Tuple& t);
   // Code-row insert (bytecode emission path).
@@ -538,10 +538,8 @@ class Database {
   std::unique_ptr<ValueDict> dict_;  // heap: address stable across moves
   std::vector<std::pair<uint32_t, RelStore>> rels_;
   std::vector<EpochFrame> epochs_;
-  // MRU index into rels_. Atomic (relaxed) because morsel lanes call Find
-  // concurrently during a parallel stratum round; the cache is only a hint,
-  // so any interleaving of the relaxed loads/stores stays correct.
-  mutable std::atomic<size_t> last_{0};
+  // MRU index into rels_ (only a hint; Find rechecks the entry).
+  mutable size_t last_ = 0;
 };
 
 }  // namespace calm::datalog

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "base/value.h"
+#include "bench/flags.h"
 
 namespace calm {
 namespace {
@@ -207,6 +210,96 @@ TEST(SymbolTableConcurrencyTest, GlobalInternFromManyThreads) {
     ASSERT_TRUE(v.is_symbol());
     ASSERT_EQ(ValueToString(v), name);
   });
+}
+
+// --- Thread-count parsing -------------------------------------------------
+// None of these tests starts a pool: an accepted huge count would ask the
+// pool for that many workers.
+
+TEST(ParseCountTest, AcceptsDecimalDigitsWithinBounds) {
+  size_t n = 0;
+  EXPECT_TRUE(ParseCount("4", 1, kMaxThreads, &n));
+  EXPECT_EQ(n, 4u);
+  EXPECT_TRUE(ParseCount("0004", 1, kMaxThreads, &n));
+  EXPECT_EQ(n, 4u);
+  EXPECT_TRUE(
+      ParseCount(std::to_string(kMaxThreads).c_str(), 1, kMaxThreads, &n));
+  EXPECT_EQ(n, kMaxThreads);
+  EXPECT_TRUE(ParseCount("0", 0, SIZE_MAX, &n));
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(ParseCount(std::to_string(SIZE_MAX).c_str(), 0, SIZE_MAX, &n));
+  EXPECT_EQ(n, SIZE_MAX);
+}
+
+TEST(ParseCountTest, RejectsSignsBlanksJunkAndOutOfRange) {
+  const std::string above_cap = std::to_string(kMaxThreads + 1);
+  for (const char* bad : {"", "-1", "+2", " 4", "4 ", "0x10", "1e3", "4a",
+                          "0", "18446744073709551615", above_cap.c_str()}) {
+    size_t n = 7;
+    EXPECT_FALSE(ParseCount(bad, 1, kMaxThreads, &n)) << '"' << bad << '"';
+    EXPECT_EQ(n, 7u) << '"' << bad << '"';
+  }
+  size_t n = 7;
+  // One past SIZE_MAX: rejected, not wrapped.
+  EXPECT_FALSE(ParseCount("18446744073709551616", 0, SIZE_MAX, &n));
+  EXPECT_FALSE(ParseCount("5", 0, 4, &n));
+  EXPECT_EQ(n, 7u);
+}
+
+TEST(ThreadCountTest, SetDefaultThreadsClampsToCap) {
+  SetDefaultThreads(SIZE_MAX);
+  EXPECT_EQ(DefaultThreads(), kMaxThreads);
+  SetDefaultThreads(0);
+}
+
+// Runs the benches' flag parser on `--threads value`; exits 0 if it
+// returns.
+void ParseThreadsFlag(const char* value) {
+  std::string a0 = "bench", a1 = "--threads", a2 = value;
+  char* argv[] = {a0.data(), a1.data(), a2.data(), nullptr};
+  int argc = 3;
+  bench::ParseFlags(&argc, argv);
+  std::exit(0);
+}
+
+// Sets CALM_THREADS and exits 0 iff DefaultThreads() then equals `want`
+// (0 = the hardware default). Only meaningful in a fresh process: the
+// environment is read once.
+void ExpectEnvThreads(const char* value, size_t want) {
+  setenv("CALM_THREADS", value, 1);
+  SetDefaultThreads(0);
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (want == 0) want = hw == 0 ? 1 : hw;
+  std::exit(DefaultThreads() == want ? 0 : 1);
+}
+
+// Re-executing the binary per death test keeps the children away from the
+// pool threads earlier tests started, and gives each child a fresh
+// CALM_THREADS cache.
+TEST(ThreadCountDeathTest, BenchFlagRejectsMalformedThreadCounts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string above_cap = std::to_string(kMaxThreads + 1);
+  for (const char* bad : {"-1", "+2", " 4", "0", above_cap.c_str()}) {
+    EXPECT_EXIT(ParseThreadsFlag(bad), testing::ExitedWithCode(2), "usage:")
+        << '"' << bad << '"';
+  }
+  EXPECT_EXIT(ParseThreadsFlag("2"), testing::ExitedWithCode(0), "");
+}
+
+TEST(ThreadCountDeathTest, MalformedCalmThreadsFallsBackToHardware) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // A count that differs from the hardware default, so a lenient parser
+  // reading "+n" or " n" as n fails the check.
+  const std::string n =
+      std::to_string(std::thread::hardware_concurrency() + 1);
+  const std::string above_cap = std::to_string(kMaxThreads + 1);
+  for (const std::string& bad : {std::string("-1"), "+" + n, " " + n,
+                                 above_cap}) {
+    EXPECT_EXIT(ExpectEnvThreads(bad.c_str(), 0), testing::ExitedWithCode(0),
+                "")
+        << '"' << bad << '"';
+  }
+  EXPECT_EXIT(ExpectEnvThreads("3", 3), testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
